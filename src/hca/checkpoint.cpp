@@ -19,7 +19,7 @@ namespace hca::core {
 namespace {
 
 constexpr const char kMagic[] = "HCACHK";
-constexpr int kVersion = 1;
+constexpr int kVersion = 2;
 
 [[noreturn]] void fail(CheckpointError::Kind kind, const std::string& message) {
   throw CheckpointError(kind, strCat("checkpoint: ", message));
@@ -138,8 +138,6 @@ void writeStats(JsonWriter& json, const HcaStats& s) {
   json.key("seeSnapshotsMaterialized").value(s.seeSnapshotsMaterialized);
   json.key("seeArenaBytesPeak").value(s.seeArenaBytesPeak);
   json.key("seeOracleRejects").value(s.seeOracleRejects);
-  json.key("seeRouteMemoHits").value(s.seeRouteMemoHits);
-  json.key("seeDominancePruned").value(s.seeDominancePruned);
   json.endObject();
 }
 
@@ -167,15 +165,8 @@ HcaStats parseStats(const JsonValue& v) {
                                      "seeSnapshotsMaterialized");
   s.seeArenaBytesPeak =
       asInt(member(v, "seeArenaBytesPeak"), "seeArenaBytesPeak");
-  // Counters added after the first checkpoint schema: absent in older
-  // files, parsed as 0.
-  const auto optInt = [&v](const char* key) {
-    const JsonValue* m = v.find(key);
-    return m == nullptr ? std::int64_t{0} : asInt(*m, key);
-  };
-  s.seeOracleRejects = optInt("seeOracleRejects");
-  s.seeRouteMemoHits = optInt("seeRouteMemoHits");
-  s.seeDominancePruned = optInt("seeDominancePruned");
+  s.seeOracleRejects =
+      asInt(member(v, "seeOracleRejects"), "seeOracleRejects");
   return s;
 }
 
@@ -351,14 +342,12 @@ std::string runFingerprint(const ddg::Ddg& ddg,
      << s.maxOpsPerUnit << ',' << s.enableRouteAllocator << ','
      << s.eagerRouting << ',' << s.retryLadder << ',' << s.maxRouteHops << ','
      << s.maxBeamSteps << ',' << s.arenaBudgetBytes << ',' << s.chainGrouping
-     << ',' << s.dominancePruning
      << ',' << bits(s.weights.iiEstimate) << ',' << bits(s.weights.copyCount)
      << ',' << bits(s.weights.loadBalance) << ','
      << bits(s.weights.criticalPath) << ',' << bits(s.weights.wiringSlack)
      << ',' << s.weights.targetIi << '\n';
-  // s.legacySearch is excluded (byte-identical to the delta path), and so
-  // are the results-invisible driver options (deadline, threads, tracing,
-  // verification) — see the header contract.
+  // The results-invisible driver options (deadline, threads, tracing,
+  // verification) are excluded — see the header contract.
   id << "hca:" << o.leafParentMaxInNeighbors << ',' << o.maxAlternatives << ','
      << o.backtrackBudget << ',' << o.targetIiSlack << ',' << o.searchProfiles
      << ',' << o.degradedFallback << ',' << o.enableSubproblemCache << ','

@@ -55,7 +55,7 @@ class CheckpointError : public InvalidArgumentError {
  public:
   enum class Kind {
     kBadMagic,     ///< not a checkpoint file at all
-    kBadVersion,   ///< a future/unknown format version
+    kBadVersion,   ///< a format version other than this build's
     kTruncated,    ///< payload shorter than the header promises
     kBadChecksum,  ///< payload bytes do not hash to the header checksum
     kBadPayload,   ///< JSON parse/shape error inside a verified payload

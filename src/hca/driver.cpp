@@ -175,8 +175,6 @@ HcaResult HcaDriver::runAttempt(const ddg::Ddg& ddg,
         &m.counter(lvl("see.copies_avoided", level)),
         &m.counter(lvl("see.snapshots", level)),
         &m.counter(lvl("see.oracle_rejects", level)),
-        &m.counter(lvl("see.route_memo_hits", level)),
-        &m.counter(lvl("see.dominance_pruned", level)),
         &m.counter(lvl("hca.backtracks", level)),
         &m.counter(lvl("mapper.failures", level)),
         &m.histogram(lvl("mapper.max_values_per_wire", level)),
@@ -732,8 +730,6 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
       result.stats.seeArenaBytesPeak = std::max(
           result.stats.seeArenaBytesPeak, flat.seeStats.arenaBytesPeak);
       result.stats.seeOracleRejects += flat.seeStats.oracleRejects;
-      result.stats.seeRouteMemoHits += flat.seeStats.routeMemoHits;
-      result.stats.seeDominancePruned += flat.seeStats.dominancePruned;
       result.stats.problemsSolved += flat.hierarchy.problemsChecked;
       result.stats.maxWirePressure = flat.hierarchy.maxWirePressure;
       result.stats.achievedTargetIi = 0;  // no target II was honored
@@ -888,8 +884,6 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
   result.stats.seeArenaBytesPeak = std::max(
       result.stats.seeArenaBytesPeak, seeResult.stats.arenaBytesPeak);
   result.stats.seeOracleRejects += seeResult.stats.oracleRejects;
-  result.stats.seeRouteMemoHits += seeResult.stats.routeMemoHits;
-  result.stats.seeDominancePruned += seeResult.stats.dominancePruned;
   // Per-level search-pressure series (cache hits replay the recorded
   // SeeStats, so the counters are byte-identical with the cache on or off).
   ++*lm.seeProblems;
@@ -903,8 +897,6 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
   *lm.seeCopiesAvoided += seeResult.stats.copiesAvoided;
   *lm.seeSnapshots += seeResult.stats.snapshotsMaterialized;
   *lm.seeOracleRejects += seeResult.stats.oracleRejects;
-  *lm.seeRouteMemoHits += seeResult.stats.routeMemoHits;
-  *lm.seeDominancePruned += seeResult.stats.dominancePruned;
 
   if (!seeResult.legal) {
     if (ctx.cancel != nullptr && ctx.cancel->cancelled()) {

@@ -244,8 +244,6 @@ class HcaDriver {
     std::int64_t* seeCopiesAvoided;
     std::int64_t* seeSnapshots;
     std::int64_t* seeOracleRejects;
-    std::int64_t* seeRouteMemoHits;
-    std::int64_t* seeDominancePruned;
     std::int64_t* hcaBacktracks;
     std::int64_t* mapperFailures;
     Histogram* mapperMaxValuesPerWire;

@@ -59,8 +59,8 @@ struct HcaStats {
   /// *surviving* records of the winning attempt (not merged across failed
   /// attempts, whose rolled-back pressure is meaningless).
   int maxWirePressure = 0;
-  /// SEE candidates expanded as copy-on-write deltas instead of full
-  /// PartialSolution deep copies (see SeeStats::copiesAvoided).
+  /// SEE candidate clusters considered without copying their parent state
+  /// (see SeeStats::copiesAvoided).
   std::int64_t seeCopiesAvoided = 0;
   /// Flat snapshots written to the SEE search arenas.
   std::int64_t seeSnapshotsMaterialized = 0;
@@ -70,10 +70,6 @@ struct HcaStats {
   /// SEE candidates rejected by the feasibility oracle before any solution
   /// state was materialized (see SeeStats::oracleRejects).
   std::int64_t seeOracleRejects = 0;
-  /// SEE route searches answered from the negative route memo.
-  std::int64_t seeRouteMemoHits = 0;
-  /// SEE frontier expansions dropped by dominance pruning.
-  std::int64_t seeDominancePruned = 0;
 
   /// Folds another attempt's counters into this one. `achievedTargetIi`
   /// and `maxWirePressure` are properties of the winning attempt and are
@@ -92,8 +88,6 @@ struct HcaStats {
     seeSnapshotsMaterialized += other.seeSnapshotsMaterialized;
     seeArenaBytesPeak = std::max(seeArenaBytesPeak, other.seeArenaBytesPeak);
     seeOracleRejects += other.seeOracleRejects;
-    seeRouteMemoHits += other.seeRouteMemoHits;
-    seeDominancePruned += other.seeDominancePruned;
   }
 };
 

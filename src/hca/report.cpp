@@ -108,8 +108,6 @@ void writeRunReport(JsonWriter& json, const HcaResult& result,
   json.key("seeSnapshotsMaterialized").value(s.seeSnapshotsMaterialized);
   json.key("seeArenaBytesPeak").value(s.seeArenaBytesPeak);
   json.key("seeOracleRejects").value(s.seeOracleRejects);
-  json.key("seeRouteMemoHits").value(s.seeRouteMemoHits);
-  json.key("seeDominancePruned").value(s.seeDominancePruned);
   json.endObject();
 
   // Per-level breakdown: the `.L<n>` series of the registry, one row per
@@ -134,10 +132,6 @@ void writeRunReport(JsonWriter& json, const HcaResult& result,
         .value(m.counterValue(lvl("see.route_failures", level)));
     json.key("oracleRejects")
         .value(m.counterValue(lvl("see.oracle_rejects", level)));
-    json.key("routeMemoHits")
-        .value(m.counterValue(lvl("see.route_memo_hits", level)));
-    json.key("dominancePruned")
-        .value(m.counterValue(lvl("see.dominance_pruned", level)));
     json.key("cacheHits").value(m.counterValue(lvl("cache.hits", level)));
     json.key("cacheMisses").value(m.counterValue(lvl("cache.misses", level)));
     json.key("backtracks").value(m.counterValue(lvl("hca.backtracks", level)));
@@ -188,8 +182,6 @@ std::map<std::string, std::int64_t> deterministicCounters(
       {"seeSnapshotsMaterialized", stats.seeSnapshotsMaterialized},
       {"seeArenaBytesPeak", stats.seeArenaBytesPeak},
       {"seeOracleRejects", stats.seeOracleRejects},
-      {"seeRouteMemoHits", stats.seeRouteMemoHits},
-      {"seeDominancePruned", stats.seeDominancePruned},
   };
 }
 
@@ -242,9 +234,7 @@ void printRunStats(std::ostream& os, const HcaResult& result) {
   os << "copies avoided: " << s.seeCopiesAvoided
      << "  snapshots: " << s.seeSnapshotsMaterialized
      << "  arena peak: " << s.seeArenaBytesPeak << " B\n";
-  os << "oracle rejects: " << s.seeOracleRejects
-     << "  route memo hits: " << s.seeRouteMemoHits
-     << "  dominance pruned: " << s.seeDominancePruned << "\n";
+  os << "oracle rejects: " << s.seeOracleRejects << "\n";
   if (!result.metrics.empty()) {
     os << "--- metrics registry ---\n";
     result.metrics.printTable(os);

@@ -1,104 +1,108 @@
 #include "see/cost.hpp"
 
 #include <algorithm>
-#include <cmath>
 
-#include "support/check.hpp"
+#include "see/snapshot.hpp"
 
 namespace hca::see {
 
-int IiEstimateCriterion::clusterMii(const PreparedProblem& prepared,
-                                    const PartialSolution& solution,
-                                    ClusterId cluster) {
-  return clusterMiiT(prepared, solution, cluster);
+namespace {
+int ceilDiv(int a, int b) { return b <= 0 ? 0 : (a + b - 1) / b; }
+}  // namespace
+
+int clusterMii(const PreparedProblem& prepared, const DeltaSolution& solution,
+               ClusterId cluster) {
+  const auto& pg = *prepared.problem().pg;
+  const auto& rt = pg.node(cluster).resources;
+  const auto& usage = solution.usage(cluster);
+  const int recvs = solution.distinctValuesIn(cluster);
+  // Issue pressure: every instruction plus one receive per incoming value,
+  // spread over the CNs the cluster embraces.
+  const int issue = ceilDiv(usage.instructions + recvs, rt.issueSlots());
+  // Functional-unit pressure.
+  const int alu = ceilDiv(usage.alu, std::max(rt.alu(), 1));
+  const int ag = rt.ag() > 0 ? ceilDiv(usage.ag, rt.ag()) : 0;
+  // Wire serialization: distinct values crossing the cluster boundary,
+  // spread over the wires the Mapper can balance them on.
+  const int inPressure = ceilDiv(solution.distinctValuesIn(cluster),
+                                 prepared.problem().inWiresPerCluster);
+  const int outPressure = ceilDiv(solution.distinctValuesOut(cluster),
+                                  prepared.problem().outWiresPerCluster);
+  return std::max({issue, alu, ag, inPressure, outPressure, 1});
 }
 
-int IiEstimateCriterion::maxClusterMii(const PreparedProblem& prepared,
-                                       const PartialSolution& solution) {
-  int result = 1;
+double iiEstimateScore(const PreparedProblem& prepared,
+                       const DeltaSolution& solution) {
+  // Per-cluster MIIs are clamped to the loop's target II (iniMII): the
+  // final MII is max(iniMII, maxClsMII), so only excess above the target
+  // costs anything. The max dominates; the clamped average (scaled down)
+  // breaks ties between states with equal bottlenecks.
+  const int target = std::max(1, prepared.options().weights.targetIi);
+  double sum = 0;
+  int maxMii = target;
   for (const ClusterId c : prepared.clusters()) {
-    result = std::max(result, clusterMiiT(prepared, solution, c));
+    const int mii = std::max(clusterMii(prepared, solution, c), target);
+    sum += mii;
+    maxMii = std::max(maxMii, mii);
   }
-  return result;
+  const auto numClusters = static_cast<double>(prepared.clusters().size());
+  return maxMii + 0.1 * (sum / numClusters);
 }
 
-double IiEstimateCriterion::score(const PreparedProblem& prepared,
-                                  const PartialSolution& solution) const {
-  return iiEstimateScoreT(prepared, solution);
+double loadBalanceScore(const PreparedProblem& prepared,
+                        const DeltaSolution& solution) {
+  // Keeps the assignment from piling work on one cluster before the II
+  // term starts to bite.
+  const auto& pg = *prepared.problem().pg;
+  double sum = 0;
+  double maxLoad = 0;
+  for (const ClusterId c : prepared.clusters()) {
+    const double load =
+        static_cast<double>(solution.usage(c).instructions) /
+        std::max(1, pg.node(c).resources.issueSlots());
+    sum += load;
+    maxLoad = std::max(maxLoad, load);
+  }
+  const double mean = sum / static_cast<double>(prepared.clusters().size());
+  return maxLoad - mean;
 }
 
-double CopyCountCriterion::score(const PreparedProblem&,
-                                 const PartialSolution& solution) const {
-  return solution.flow().totalCopies();
-}
-
-double LoadBalanceCriterion::score(const PreparedProblem& prepared,
-                                   const PartialSolution& solution) const {
-  return loadBalanceScoreT(prepared, solution);
-}
-
-double WiringSlackCriterion::score(const PreparedProblem& prepared,
-                                   const PartialSolution& solution) const {
-  return wiringSlackScoreT(prepared, solution);
-}
-
-double CriticalPathCriterion::score(const PreparedProblem& prepared,
-                                    const PartialSolution& solution) const {
-  // For every cross-cluster intra-iteration dependence, weight the copy by
-  // how tall its consumer still is: cutting near the top of the critical
-  // path is worse. The full scan visits terms in (working-set position,
-  // operand position) order — the order the delta path's merged term list
-  // reproduces (see snapshot.hpp).
-  const auto& ddg = *prepared.problem().ddg;
-  const std::int64_t maxHeight = prepared.maxWsHeight();
+double wiringSlackScore(const PreparedProblem& prepared,
+                        const DeltaSolution& solution) {
+  // Every distinct real in-neighbor eats one of a cluster's few input-wire
+  // selects, and a saturated cluster blocks all later assignments that
+  // need to reach it — so saturation hurts most.
+  const int maxIn = prepared.problem().constraints.maxInNeighbors;
+  if (maxIn <= 0) return 0.0;
   double penalty = 0;
-  for (const DdgNodeId n : prepared.problem().workingSet) {
-    const ClusterId cn = solution.clusterOf(n);
-    if (!cn.valid()) continue;
-    for (const auto& operand : ddg.node(n).operands) {
-      if (operand.distance != 0) continue;
-      if (!prepared.inWorkingSet(operand.src)) continue;
-      const ClusterId cp = solution.clusterOf(operand.src);
-      if (!cp.valid() || cp == cn) continue;
-      penalty += static_cast<double>(prepared.height(n) + 1) /
-                 static_cast<double>(maxHeight);
-    }
+  for (const ClusterId c : prepared.clusters()) {
+    const double used = static_cast<double>(solution.realInNeighborCount(c)) /
+                        static_cast<double>(maxIn);
+    penalty += used * used;
   }
   return penalty;
 }
 
-WeightedObjective::WeightedObjective(const CostWeights& weights) {
-  add(std::make_unique<IiEstimateCriterion>(), weights.iiEstimate);
-  add(std::make_unique<CopyCountCriterion>(), weights.copyCount);
-  add(std::make_unique<LoadBalanceCriterion>(), weights.loadBalance);
-  add(std::make_unique<CriticalPathCriterion>(), weights.criticalPath);
-  add(std::make_unique<WiringSlackCriterion>(), weights.wiringSlack);
-}
-
-void WeightedObjective::add(std::unique_ptr<CostCriterion> criterion,
-                            double weight) {
-  HCA_REQUIRE(criterion != nullptr, "null cost criterion");
-  criteria_.emplace_back(std::move(criterion), weight);
-}
-
-double WeightedObjective::evaluate(const PreparedProblem& prepared,
-                                   const PartialSolution& solution) const {
+double evaluateObjective(const PreparedProblem& prepared,
+                         DeltaSolution& solution) {
+  const CostWeights& weights = prepared.options().weights;
   double total = 0;
-  for (const auto& [criterion, weight] : criteria_) {
-    if (weight == 0.0) continue;
-    total += weight * criterion->score(prepared, solution);
+  if (weights.iiEstimate != 0.0) {
+    total += weights.iiEstimate * iiEstimateScore(prepared, solution);
+  }
+  if (weights.copyCount != 0.0) {
+    total += weights.copyCount * static_cast<double>(solution.totalCopies());
+  }
+  if (weights.loadBalance != 0.0) {
+    total += weights.loadBalance * loadBalanceScore(prepared, solution);
+  }
+  if (weights.criticalPath != 0.0) {
+    total += weights.criticalPath * solution.criticalPathScore(prepared);
+  }
+  if (weights.wiringSlack != 0.0) {
+    total += weights.wiringSlack * wiringSlackScore(prepared, solution);
   }
   return total;
-}
-
-std::vector<std::pair<std::string, double>> WeightedObjective::breakdown(
-    const PreparedProblem& prepared, const PartialSolution& solution) const {
-  std::vector<std::pair<std::string, double>> out;
-  for (const auto& [criterion, weight] : criteria_) {
-    out.emplace_back(criterion->name(),
-                     weight * criterion->score(prepared, solution));
-  }
-  return out;
 }
 
 }  // namespace hca::see

@@ -1,189 +1,45 @@
 #pragma once
 
-#include <algorithm>
-#include <memory>
-#include <string>
-#include <vector>
-
-#include "see/partial_solution.hpp"
 #include "see/prepared.hpp"
 
-/// Pluggable cost criteria (paper Section 3: "the assignment n -> c is
-/// evaluated by an objective function based on a collection of cost
-/// criteria"). Each criterion scores a whole partial solution; the
-/// WeightedObjective combines them. Lower is better.
+/// The SEE objective (paper Section 3: "the assignment n -> c is evaluated
+/// by an objective function based on a collection of cost criteria"): a
+/// fixed weighted sum (CostWeights) of five criteria over a candidate
+/// state, accumulated in this order with zero-weight terms skipped. Lower
+/// is better.
+///
+///  1. ii-estimate — the paper's main cost factor (Section 4.2): the
+///     per-cluster MII estimate, max plus a scaled-down average, clamped
+///     to the loop's target II.
+///  2. copy-count — inter-cluster copies (arc/value pairs).
+///  3. load-balance — spread of issue-slot occupancy (max - mean).
+///  4. critical-path — copies on intra-iteration dependences, weighted by
+///     how tall the consumer still is.
+///  5. wiring-slack — consumed reconfiguration budget, quadratic in the
+///     per-cluster in-neighbor utilization.
 namespace hca::see {
 
-class CostCriterion {
- public:
-  virtual ~CostCriterion() = default;
-  [[nodiscard]] virtual std::string name() const = 0;
-  [[nodiscard]] virtual double score(const PreparedProblem& prepared,
-                                     const PartialSolution& solution)
-      const = 0;
-};
+class DeltaSolution;
 
-/// The paper's main cost factor (Section 4.2): an estimate of
-/// maxClsMII = max over clusters of the per-cluster MII, accounting for the
-/// issue slots (instructions plus one receive per distinct incoming value)
-/// and the copy pressure the Mapper will have to serialize over the
-/// cluster's input/output wires.
-class IiEstimateCriterion : public CostCriterion {
- public:
-  [[nodiscard]] std::string name() const override { return "ii-estimate"; }
-  [[nodiscard]] double score(const PreparedProblem& prepared,
-                             const PartialSolution& solution) const override;
+/// The per-cluster MII estimate: issue slots (instructions plus one
+/// receive per distinct incoming value), functional units, and the copy
+/// pressure the Mapper will have to serialize over the cluster's wires.
+[[nodiscard]] int clusterMii(const PreparedProblem& prepared,
+                             const DeltaSolution& solution, ClusterId cluster);
 
-  /// The per-cluster MII estimate itself, exposed for the final metric.
-  static int clusterMii(const PreparedProblem& prepared,
-                        const PartialSolution& solution, ClusterId cluster);
-  static int maxClusterMii(const PreparedProblem& prepared,
-                           const PartialSolution& solution);
-};
+/// Criterion 1 (see above).
+[[nodiscard]] double iiEstimateScore(const PreparedProblem& prepared,
+                                     const DeltaSolution& solution);
+/// Criterion 3: max - mean issue-slot load over the clusters.
+[[nodiscard]] double loadBalanceScore(const PreparedProblem& prepared,
+                                      const DeltaSolution& solution);
+/// Criterion 5: sum of squared in-neighbor utilizations.
+[[nodiscard]] double wiringSlackScore(const PreparedProblem& prepared,
+                                      const DeltaSolution& solution);
 
-/// Total number of inter-cluster copies (arc/value pairs).
-class CopyCountCriterion : public CostCriterion {
- public:
-  [[nodiscard]] std::string name() const override { return "copy-count"; }
-  [[nodiscard]] double score(const PreparedProblem& prepared,
-                             const PartialSolution& solution) const override;
-};
-
-/// Spread of issue-slot occupancy across clusters (max - mean, normalized
-/// by issue width): keeps the assignment from piling work on one cluster
-/// before the II term starts to bite.
-class LoadBalanceCriterion : public CostCriterion {
- public:
-  [[nodiscard]] std::string name() const override { return "load-balance"; }
-  [[nodiscard]] double score(const PreparedProblem& prepared,
-                             const PartialSolution& solution) const override;
-};
-
-/// Penalizes consumed reconfiguration budget: every distinct real
-/// in-neighbor eats one of a cluster's few input-wire selects, and a
-/// saturated cluster blocks all later assignments that need to reach it.
-/// Quadratic in the per-cluster utilization so saturation hurts most.
-class WiringSlackCriterion : public CostCriterion {
- public:
-  [[nodiscard]] std::string name() const override { return "wiring-slack"; }
-  [[nodiscard]] double score(const PreparedProblem& prepared,
-                             const PartialSolution& solution) const override;
-};
-
-/// Penalizes copies on dependence edges with little slack: separating the
-/// critical path across clusters adds its copy latency to the schedule
-/// even when the II is unaffected.
-class CriticalPathCriterion : public CostCriterion {
- public:
-  [[nodiscard]] std::string name() const override { return "critical-path"; }
-  [[nodiscard]] double score(const PreparedProblem& prepared,
-                             const PartialSolution& solution) const override;
-};
-
-// --- Shared score implementations -----------------------------------------
-//
-// The formulas below are templates over the solution representation so the
-// legacy criteria (scoring a materialized PartialSolution) and the
-// incremental evaluator of the delta-based hot path (scoring a
-// DeltaSolution overlay) are the *same code* — per-cluster loops iterate
-// `prepared.clusters()` in order, so the floating-point accumulation
-// sequence, and therefore the resulting bits, are identical for equal
-// inputs. A `Sol` must provide usage(c), distinctValuesIn/Out(c), and
-// realInNeighborCount(c).
-
-namespace cost_detail {
-inline int ceilDiv(int a, int b) { return b <= 0 ? 0 : (a + b - 1) / b; }
-}  // namespace cost_detail
-
-template <typename Sol>
-int clusterMiiT(const PreparedProblem& prepared, const Sol& solution,
-                ClusterId cluster) {
-  using cost_detail::ceilDiv;
-  const auto& pg = *prepared.problem().pg;
-  const auto& rt = pg.node(cluster).resources;
-  const auto& usage = solution.usage(cluster);
-  const int recvs = solution.distinctValuesIn(cluster);
-  // Issue pressure: every instruction plus one receive per incoming value,
-  // spread over the CNs the cluster embraces.
-  const int issue = ceilDiv(usage.instructions + recvs, rt.issueSlots());
-  // Functional-unit pressure.
-  const int alu = ceilDiv(usage.alu, std::max(rt.alu(), 1));
-  const int ag = rt.ag() > 0 ? ceilDiv(usage.ag, rt.ag()) : 0;
-  // Wire serialization: distinct values crossing the cluster boundary,
-  // spread over the wires the Mapper can balance them on.
-  const int inPressure = ceilDiv(solution.distinctValuesIn(cluster),
-                                 prepared.problem().inWiresPerCluster);
-  const int outPressure = ceilDiv(solution.distinctValuesOut(cluster),
-                                  prepared.problem().outWiresPerCluster);
-  return std::max({issue, alu, ag, inPressure, outPressure, 1});
-}
-
-template <typename Sol>
-double iiEstimateScoreT(const PreparedProblem& prepared, const Sol& solution) {
-  // Per-cluster MIIs are clamped to the loop's target II (iniMII): the
-  // final MII is max(iniMII, maxClsMII), so only excess above the target
-  // costs anything. The max dominates; the clamped average (scaled down)
-  // breaks ties between states with equal bottlenecks.
-  const int target = std::max(1, prepared.options().weights.targetIi);
-  double sum = 0;
-  int maxMii = target;
-  for (const ClusterId c : prepared.clusters()) {
-    const int mii = std::max(clusterMiiT(prepared, solution, c), target);
-    sum += mii;
-    maxMii = std::max(maxMii, mii);
-  }
-  const auto numClusters = static_cast<double>(prepared.clusters().size());
-  return maxMii + 0.1 * (sum / numClusters);
-}
-
-template <typename Sol>
-double loadBalanceScoreT(const PreparedProblem& prepared,
-                         const Sol& solution) {
-  const auto& pg = *prepared.problem().pg;
-  double sum = 0;
-  double maxLoad = 0;
-  for (const ClusterId c : prepared.clusters()) {
-    const double load =
-        static_cast<double>(solution.usage(c).instructions) /
-        std::max(1, pg.node(c).resources.issueSlots());
-    sum += load;
-    maxLoad = std::max(maxLoad, load);
-  }
-  const double mean = sum / static_cast<double>(prepared.clusters().size());
-  return maxLoad - mean;
-}
-
-template <typename Sol>
-double wiringSlackScoreT(const PreparedProblem& prepared,
-                         const Sol& solution) {
-  const int maxIn = prepared.problem().constraints.maxInNeighbors;
-  if (maxIn <= 0) return 0.0;
-  double penalty = 0;
-  for (const ClusterId c : prepared.clusters()) {
-    const double used = static_cast<double>(solution.realInNeighborCount(c)) /
-                        static_cast<double>(maxIn);
-    penalty += used * used;
-  }
-  return penalty;
-}
-
-/// Weighted combination of the standard criteria.
-class WeightedObjective {
- public:
-  explicit WeightedObjective(const CostWeights& weights);
-
-  /// Adds a custom criterion with the given weight.
-  void add(std::unique_ptr<CostCriterion> criterion, double weight);
-
-  [[nodiscard]] double evaluate(const PreparedProblem& prepared,
-                                const PartialSolution& solution) const;
-
-  /// Per-criterion breakdown (diagnostics).
-  [[nodiscard]] std::vector<std::pair<std::string, double>> breakdown(
-      const PreparedProblem& prepared, const PartialSolution& solution) const;
-
- private:
-  std::vector<std::pair<std::unique_ptr<CostCriterion>, double>> criteria_;
-};
+/// The weighted objective under `prepared.options().weights`. Takes the
+/// delta mutably because the critical-path term sorts its additions.
+[[nodiscard]] double evaluateObjective(const PreparedProblem& prepared,
+                                       DeltaSolution& solution);
 
 }  // namespace hca::see

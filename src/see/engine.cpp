@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_set>
 
-#include "see/dominance.hpp"
+#include "see/cost.hpp"
 #include "see/feasibility.hpp"
 #include "see/route_allocator.hpp"
 #include "see/snapshot.hpp"
@@ -39,24 +38,10 @@ std::string describeGroup(const ItemGroup& group) {
   return out + "}";
 }
 
-/// Assigns every member of `group` to `cluster` on a clone of `state`;
-/// nullopt when some member is not directly assignable there.
-std::optional<PartialSolution> assignGroupDirect(
-    const PreparedProblem& prepared, const PartialSolution& state,
-    const ItemGroup& group, ClusterId cluster) {
-  PartialSolution candidate = state;
-  for (const Item& item : group.members) {
-    if (!candidate.canAssign(prepared, item, cluster)) return std::nullopt;
-    candidate.assign(prepared, item, cluster);
-  }
-  return candidate;
-}
-
 /// Recycling pool of DeltaSolution overlays for one search attempt: after
-/// the first beam step every acquire rebases an existing object (two
-/// memcpys of dense state, list clears) — no allocation, and one avoided
-/// PartialSolution deep copy, which is what `SeeStats::copiesAvoided`
-/// counts.
+/// the first beam step every acquire rebases an existing object (memcpys of
+/// dense state, list clears) — no allocation, and no copy of the parent's
+/// lists, which is what `SeeStats::copiesAvoided` counts.
 class DeltaPool {
  public:
   explicit DeltaPool(const PreparedProblem& prepared) : prepared_(prepared) {}
@@ -121,16 +106,7 @@ SeeResult SpaceExplorationEngine::run(const SeeProblem& problem,
 SeeResult SpaceExplorationEngine::runOnce(
     const SeeProblem& problem, const SeeOptions& options,
     const CancellationToken* cancel) const {
-  return options.legacySearch ? runOnceLegacy(problem, options, cancel)
-                              : runOnceDelta(problem, options, cancel);
-}
-
-SeeResult SpaceExplorationEngine::runOnceDelta(
-    const SeeProblem& problem, const SeeOptions& options,
-    const CancellationToken* cancel) const {
   const PreparedProblem prepared(problem, options);
-  const WeightedObjective objective(options.weights);
-  const IncrementalObjective incremental(options.weights);
 
   SeeResult result;
   // Double-buffered snapshot arenas: the live frontier's snapshots sit in
@@ -149,17 +125,12 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
     result.stats.arenaBytesPeak =
         std::max(static_cast<std::int64_t>(arenaA.peakBytesUsed()),
                  static_cast<std::int64_t>(arenaB.peakBytesUsed()));
-    result.stats.routeMemoHits += routeScratch.memoHits();
     result.stats.oracleRejects += routeScratch.hopRejects();
   };
 
   std::vector<const FlatSolution*> frontier;
-  {
-    PartialSolution initial = PartialSolution::initial(prepared);
-    initial.setObjective(objective.evaluate(prepared, initial));
-    frontier.push_back(FlatSolution::fromPartial(initial, prepared, *cur));
-    ++result.stats.snapshotsMaterialized;
-  }
+  frontier.push_back(FlatSolution::initial(prepared, *cur));
+  ++result.stats.snapshotsMaterialized;
 
   // Per-step work vectors, hoisted out of the loop so their capacity is
   // reused across steps (zero steady-state allocation).
@@ -169,12 +140,11 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
   std::vector<std::size_t> order;
   std::vector<char> isParentBest;
   std::vector<char> selected;
-  std::vector<char> dominated;
   std::vector<std::size_t> chosen;
   std::vector<std::uint64_t> seenSigs;
   std::vector<const FlatSolution*> survivors;
-  // Membership-only replacement for the legacy unordered_set (frontiers
-  // are small; a linear scan beats hashing and allocates nothing).
+  // Membership-only signature set (frontiers are small; a linear scan
+  // beats hashing and allocates nothing).
   const auto insertSig = [&seenSigs](std::uint64_t sig) {
     if (std::find(seenSigs.begin(), seenSigs.end(), sig) != seenSigs.end()) {
       return false;
@@ -247,28 +217,28 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
         ++result.stats.copiesAvoided;
         bool direct = true;
         for (const Item& item : group.members) {
-          if (!canAssignT(prepared, *candidate, item, c)) {
+          if (!canAssign(prepared, *candidate, item, c)) {
             direct = false;
             break;
           }
-          assignT(prepared, *candidate, item, c);
+          assign(prepared, *candidate, item, c);
         }
         if (direct) {
           ++result.stats.candidatesEvaluated;
-          candidate->setObjective(incremental.evaluate(prepared, *candidate));
+          candidate->setObjective(evaluateObjective(prepared, *candidate));
           scored.push_back(candidate);
         } else if (eagerRoutes) {
           candidate->reset(state);  // discard the partial direct attempt
           int routed = 0;
-          if (!routeAssignGroupT(prepared, *candidate, group, c, &routed,
-                                 &routeScratch)) {
+          if (!routeAssignGroup(prepared, *candidate, group, c, &routed,
+                                &routeScratch)) {
             ++result.stats.routeFailures;
             pool.release(candidate);
             continue;
           }
           ++result.stats.candidatesEvaluated;
           result.stats.routedOperands += routed;
-          candidate->setObjective(incremental.evaluate(prepared, *candidate));
+          candidate->setObjective(evaluateObjective(prepared, *candidate));
           scored.push_back(candidate);
         } else {
           pool.release(candidate);
@@ -277,7 +247,7 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
       if (scored.empty() && options.enableRouteAllocator &&
           !options.eagerRouting) {
         // No candidates action: try routing onto each cluster. Dead and
-        // non-cluster nodes fail routeAssignGroupT with zero side effects,
+        // non-cluster nodes fail routeAssignGroup with zero side effects,
         // so the oracle skips them before the acquire (mirroring the
         // failure-path counters).
         ++result.stats.routeInvocations;
@@ -291,14 +261,14 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
           }
           DeltaSolution* candidate = pool.acquire(state);
           ++result.stats.copiesAvoided;
-          if (!routeAssignGroupT(prepared, *candidate, group, c, &routed,
-                                 &routeScratch)) {
+          if (!routeAssignGroup(prepared, *candidate, group, c, &routed,
+                                &routeScratch)) {
             ++result.stats.routeFailures;
             pool.release(candidate);
             continue;
           }
           ++result.stats.candidatesEvaluated;
-          candidate->setObjective(incremental.evaluate(prepared, *candidate));
+          candidate->setObjective(evaluateObjective(prepared, *candidate));
           scored.push_back(candidate);
         }
         result.stats.routedOperands += routed;
@@ -362,18 +332,6 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
       selected[i] = 1;
       chosen.push_back(i);
     }
-    // Dominance pruning (opt-in): drop strictly-dominated expansions from
-    // the discard set. Selection above never consults the dominance
-    // relation — a dominated state the filter chose stays chosen — so the
-    // surviving beam, and with it every downstream counter and the final
-    // mapping, is byte-identical with the flag on or off (the hard
-    // constraint of the oracle work); what the pass buys is the
-    // dominancePruned counter quantifying how much of the frontier churn
-    // was covered outright by a sibling. See dominance.hpp.
-    if (options.dominancePruning) {
-      result.stats.dominancePruned += static_cast<std::int64_t>(
-          markDominated(prepared, next, selected, dominated));
-    }
     std::sort(chosen.begin(), chosen.end(), [&](std::size_t a, std::size_t b) {
       return next[a]->objective() < next[b]->objective();
     });
@@ -401,187 +359,6 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
     frontier[i]->toPartial(prepared, &result.alternatives[i]);
   }
   result.solution = result.alternatives.front();
-  finishStats();
-  return result;
-}
-
-SeeResult SpaceExplorationEngine::runOnceLegacy(
-    const SeeProblem& problem, const SeeOptions& options,
-    const CancellationToken* cancel) const {
-  const PreparedProblem prepared(problem, options);
-  const WeightedObjective objective(options.weights);
-  const FeasibilityOracle& oracle = prepared.oracle();
-  RouteScratch routeScratch;
-
-  SeeResult result;
-  const auto finishStats = [&] {
-    result.stats.routeMemoHits += routeScratch.memoHits();
-    result.stats.oracleRejects += routeScratch.hopRejects();
-  };
-  std::vector<PartialSolution> frontier;
-  frontier.push_back(PartialSolution::initial(prepared));
-  frontier.back().setObjective(
-      objective.evaluate(prepared, frontier.back()));
-
-  for (std::size_t gi = 0; gi < prepared.items().size(); ++gi) {
-    const ItemGroup& group = prepared.items()[gi];
-    if (cancel != nullptr && cancel->cancelled()) {
-      result.legal = false;
-      result.failedItem = group.members.front();
-      result.failureReason = "cancelled";
-      result.solution = frontier.front();
-      finishStats();
-      return result;
-    }
-    if (options.maxBeamSteps > 0 &&
-        result.stats.statesExplored >= options.maxBeamSteps) {
-      result.legal = false;
-      result.failedItem = group.members.front();
-      result.failureReason =
-          strCat("beam step budget exhausted (", options.maxBeamSteps, ")");
-      result.solution = frontier.front();
-      finishStats();
-      return result;
-    }
-    std::vector<PartialSolution> next;
-    std::vector<int> parentOf;  // parallel to next: index into frontier
-    int parentIndex = -1;
-    for (const PartialSolution& state : frontier) {
-      ++parentIndex;
-      ++result.stats.statesExplored;
-      // Enumerate candidates via isAssignable, score survivors. With eager
-      // routing, clusters that are only reachable through relays are
-      // offered too (at their true copy cost).
-      std::vector<PartialSolution> scored;
-      // Same oracle pre-filter as the delta path; here a skip also avoids
-      // the PartialSolution deep copy assignGroupDirect would clone.
-      const bool eagerRoutes =
-          options.eagerRouting && options.enableRouteAllocator;
-      const std::uint64_t feasible =
-          eagerRoutes ? oracle.aliveMask()
-                      : oracle.directFeasibleMask(state, gi);
-      for (const ClusterId c : prepared.clusters()) {
-        if ((feasible & detail::pgBit(c)) == 0) {
-          ++result.stats.oracleRejects;
-          if (eagerRoutes) ++result.stats.routeFailures;
-          continue;
-        }
-        if (auto candidate = assignGroupDirect(prepared, state, group, c)) {
-          ++result.stats.candidatesEvaluated;
-          candidate->setObjective(objective.evaluate(prepared, *candidate));
-          scored.push_back(std::move(*candidate));
-        } else if (eagerRoutes) {
-          int routed = 0;
-          auto sol = RouteAllocator::tryAssignGroup(prepared, state, group, c,
-                                                    &routed, &routeScratch);
-          if (!sol.has_value()) {
-            ++result.stats.routeFailures;
-            continue;
-          }
-          ++result.stats.candidatesEvaluated;
-          result.stats.routedOperands += routed;
-          sol->setObjective(objective.evaluate(prepared, *sol));
-          scored.push_back(std::move(*sol));
-        }
-      }
-      if (scored.empty() && options.enableRouteAllocator &&
-          !options.eagerRouting) {
-        // No candidates action: try routing onto each cluster (dead and
-        // non-cluster nodes skipped up front, mirroring the failure path).
-        ++result.stats.routeInvocations;
-        int routed = 0;
-        for (const ClusterId c : prepared.clusters()) {
-          if ((oracle.aliveMask() & detail::pgBit(c)) == 0) {
-            ++result.stats.routeFailures;
-            ++result.stats.oracleRejects;
-            continue;
-          }
-          auto sol = RouteAllocator::tryAssignGroup(prepared, state, group,
-                                                    c, &routed, &routeScratch);
-          if (!sol.has_value()) {
-            ++result.stats.routeFailures;
-            continue;
-          }
-          ++result.stats.candidatesEvaluated;
-          sol->setObjective(objective.evaluate(prepared, *sol));
-          scored.push_back(std::move(*sol));
-        }
-        result.stats.routedOperands += routed;
-      }
-      // Candidate filter: keep the best few expansions of this state.
-      std::sort(scored.begin(), scored.end(),
-                [](const PartialSolution& a, const PartialSolution& b) {
-                  return a.objective() < b.objective();
-                });
-      const auto keep = std::min<std::size_t>(
-          scored.size(), static_cast<std::size_t>(options.candidateKeep));
-      result.stats.candidateRejections +=
-          static_cast<std::int64_t>(scored.size() - keep);
-      for (std::size_t i = 0; i < keep; ++i) {
-        next.push_back(std::move(scored[i]));
-        parentOf.push_back(parentIndex);
-      }
-    }
-
-    if (next.empty()) {
-      result.legal = false;
-      result.failedItem = group.members.front();
-      result.failureReason =
-          strCat("no candidates for ", describeGroup(group),
-                 " in any frontier state (communication patterns exhausted)");
-      HCA_DEBUG("SEE failed: " << result.failureReason);
-      result.solution = frontier.front();
-      finishStats();
-      return result;
-    }
-
-    // Node filter: keep the beam, deduped, but parent-diverse — the best
-    // child of every surviving parent is retained first so a feasible
-    // lineage is never pruned purely on score, then the remaining slots go
-    // to the globally best states.
-    std::vector<std::size_t> order(next.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return next[a].objective() < next[b].objective();
-    });
-    std::vector<char> isParentBest(frontier.size(), 0);
-    std::vector<char> selected(next.size(), 0);
-    std::vector<std::size_t> chosen;
-    // Insert-only membership test (dedup by signature); never iterated,
-    // so hash order cannot reach the result.
-    std::unordered_set<std::uint64_t> seen;
-    for (const std::size_t i : order) {  // best child per parent
-      const int parent = parentOf[i];
-      if (isParentBest[static_cast<std::size_t>(parent)] != 0) continue;
-      isParentBest[static_cast<std::size_t>(parent)] = 1;
-      if (!seen.insert(next[i].signature()).second) continue;
-      selected[i] = 1;
-      chosen.push_back(i);
-    }
-    for (const std::size_t i : order) {  // fill up with global best
-      if (static_cast<int>(chosen.size()) >= options.beamWidth) break;
-      if (selected[i] != 0) continue;
-      if (!seen.insert(next[i].signature()).second) continue;
-      selected[i] = 1;
-      chosen.push_back(i);
-    }
-    std::sort(chosen.begin(), chosen.end(), [&](std::size_t a, std::size_t b) {
-      return next[a].objective() < next[b].objective();
-    });
-    if (static_cast<int>(chosen.size()) > options.beamWidth) {
-      chosen.resize(static_cast<std::size_t>(options.beamWidth));
-    }
-    std::vector<PartialSolution> pruned;
-    pruned.reserve(chosen.size());
-    for (const std::size_t i : chosen) pruned.push_back(std::move(next[i]));
-    result.stats.statesPruned +=
-        static_cast<std::int64_t>(next.size() - pruned.size());
-    frontier = std::move(pruned);
-  }
-
-  result.legal = true;
-  result.solution = frontier.front();
-  result.alternatives = std::move(frontier);
   finishStats();
   return result;
 }

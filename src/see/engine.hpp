@@ -2,8 +2,8 @@
 
 #include <string>
 
-#include "see/cost.hpp"
 #include "see/partial_solution.hpp"
+#include "see/prepared.hpp"
 #include "see/problem.hpp"
 #include "support/thread_pool.hpp"
 
@@ -45,21 +45,12 @@ class SpaceExplorationEngine {
   [[nodiscard]] const SeeOptions& options() const { return options_; }
 
  private:
+  /// One beam search under `options`: pooled copy-on-write DeltaSolution
+  /// candidates against arena-backed FlatSolution snapshots, with zero
+  /// steady-state heap allocation.
   [[nodiscard]] SeeResult runOnce(const SeeProblem& problem,
                                   const SeeOptions& options,
                                   const CancellationToken* cancel) const;
-  /// Reference beam loop over materialized PartialSolution values (one
-  /// full deep copy per candidate). Kept as the byte-identity oracle for
-  /// the delta path and selectable via SeeOptions::legacySearch.
-  [[nodiscard]] SeeResult runOnceLegacy(const SeeProblem& problem,
-                                        const SeeOptions& options,
-                                        const CancellationToken* cancel) const;
-  /// Copy-on-write beam loop: pooled DeltaSolution candidates against
-  /// arena-backed FlatSolution snapshots; zero steady-state heap
-  /// allocation. Byte-identical results to runOnceLegacy.
-  [[nodiscard]] SeeResult runOnceDelta(const SeeProblem& problem,
-                                       const SeeOptions& options,
-                                       const CancellationToken* cancel) const;
 
   SeeOptions options_;
 };

@@ -3,16 +3,15 @@
 #include <cstdint>
 
 #include "see/prepared.hpp"
-#include "see/solution_ops.hpp"
 
 /// Feasibility oracle of the SEE beam loop: answers "can this candidate
 /// cluster possibly survive the direct-assignment check?" with one AND+test
 /// before the engine pays for a DeltaSolution acquire (dense-state memcpy)
-/// and a member-by-member canAssignT walk.
+/// and a member-by-member canAssign walk.
 ///
 /// The contract that keeps the search byte-identical: a cluster the oracle
 /// rejects must *provably* fail the direct-assignment loop — some member's
-/// canAssignT must return false — so skipping it changes no candidate set,
+/// canAssign must return false — so skipping it changes no candidate set,
 /// no ordering, and (with the engine mirroring the counter increments of
 /// the skipped code path) no statistics. The oracle therefore only encodes
 /// rejection reasons that are sound against the *parent* frontier snapshot:
@@ -28,13 +27,15 @@
 ///
 /// Anything whose mid-group evolution could *help* a later member (shared
 /// flows, out-neighbor counts of the candidate itself) is deliberately left
-/// to canAssignT.
+/// to canAssign.
 ///
 /// The oracle also precomputes the static relay-hop distance matrix over
 /// the alive pattern graph (budgets ignored — a strict over-approximation
-/// of dynamic routability), which lets findPathT refuse provably
+/// of dynamic routability), which lets findPath refuse provably
 /// unreachable (src, dst) pairs without running a BFS.
 namespace hca::see {
+
+class FlatSolution;
 
 class FeasibilityOracle {
  public:
@@ -55,7 +56,7 @@ class FeasibilityOracle {
 
   /// Shortest relay path length (in arcs) from `src` to `dst` where every
   /// intermediate node is an alive cluster with a surviving output wire —
-  /// the static over-approximation of findPathT's search graph.
+  /// the static over-approximation of findPath's search graph.
   /// kUnreachable when no such path exists at any length.
   ///
   /// The matrix is built lazily on first call: most prepared problems never
@@ -70,12 +71,11 @@ class FeasibilityOracle {
 
   /// Mask of clusters on which the *direct* (unrouted) assignment of the
   /// whole group might succeed when expanding `state`; every cluster
-  /// outside the mask provably fails canAssignT for some member. Sound
+  /// outside the mask provably fails canAssign for some member. Sound
   /// only for the direct-candidate loop: a rejected cluster may still be
   /// reachable through the route allocator.
-  template <typename Sol>
-  [[nodiscard]] std::uint64_t directFeasibleMask(const Sol& state,
-                                                 std::size_t groupIndex) const;
+  [[nodiscard]] std::uint64_t directFeasibleMask(
+      const FlatSolution& state, std::size_t groupIndex) const;
 
  private:
   void buildHopMatrix() const;
@@ -88,7 +88,7 @@ class FeasibilityOracle {
   /// Per resource class (kAlu, kAg): clusters owning at least one unit.
   std::uint64_t rcMask_[ddg::kNumResourceClasses] = {};
   /// Per PG node u: heads of u's out-arcs, zeroed when u is dead or has no
-  /// surviving output wire (the static prefix of canAddCopyT).
+  /// surviving output wire (the static prefix of canAddCopy).
   std::vector<std::uint64_t> arcOutMask_;
   /// Per PG node w: alive-cluster tails of w's in-arcs that can still send.
   std::vector<std::uint64_t> arcInMask_;
@@ -99,140 +99,5 @@ class FeasibilityOracle {
   mutable std::vector<std::uint8_t> hop_;
   mutable bool hopsBuilt_ = false;
 };
-
-template <typename Sol>
-std::uint64_t FeasibilityOracle::directFeasibleMask(
-    const Sol& state, std::size_t groupIndex) const {
-  const PreparedProblem& prep = *prepared_;
-  const auto& pg = *prep.problem().pg;
-  const auto& constraints = prep.problem().constraints;
-  const auto& options = prep.options();
-  const ItemGroup& group = prep.items()[groupIndex];
-  std::uint64_t m = groupMask_[groupIndex];
-  if (m == 0) return 0;
-
-  // Clusters with a free in-neighbor slot (or no MUX cap) in the parent
-  // state. Masks only gain bits mid-group, so "no room and the source is
-  // not an in-neighbor yet" stays a rejection for every member. Built
-  // lazily: groups with no placed producers/consumers (the early beam
-  // steps) never need it.
-  std::uint64_t room = 0;
-  bool roomBuilt = false;
-  const auto ensureRoom = [&] {
-    if (roomBuilt) return;
-    roomBuilt = true;
-    for (const ClusterId c : prep.clusters()) {
-      const int cap = detail::effectiveInCap(pg.node(c), constraints);
-      if (cap < 0 ||
-          __builtin_popcountll(state.inNbrMask(c)) < cap) {
-        room |= detail::pgBit(c);
-      }
-    }
-  };
-
-  // Candidate clusters where the copy loc -> candidate required for value
-  // `v` could still be added: the location itself, arc-connected receivers
-  // with budget room or with loc already among their in-neighbors, and
-  // clusters already holding v.
-  const auto restrictByCopyFrom = [&](ClusterId loc, ValueId v) {
-    ensureRoom();
-    const std::uint64_t viaArc = arcOutMask_[loc.index()];
-    std::uint64_t keep = detail::pgBit(loc);
-    std::uint64_t rest = m & ~keep;
-    while (rest != 0) {
-      const std::uint64_t bit = rest & (~rest + 1);
-      rest ^= bit;
-      const ClusterId c(__builtin_ctzll(bit));
-      if ((viaArc & bit) != 0 &&
-          ((room & bit) != 0 ||
-           (state.inNbrMask(c) & detail::pgBit(loc)) != 0)) {
-        keep |= bit;
-      } else if (state.valueDelivered(c, v)) {
-        keep |= bit;
-      }
-    }
-    m &= keep;
-  };
-
-  // Candidate clusters that could still send a (not-yet-existing) value to
-  // the fixed cluster `d`: d itself, or arc-connected senders while d has
-  // budget room / already lists the sender as an in-neighbor.
-  const auto restrictByCopyTo = [&](ClusterId d) {
-    ensureRoom();
-    std::uint64_t allowed = detail::pgBit(d);
-    const std::uint64_t senders = sendMask_ & arcInMask_[d.index()];
-    if ((room & detail::pgBit(d)) != 0) {
-      allowed |= senders;
-    } else {
-      allowed |= senders & state.inNbrMask(d);
-    }
-    m &= allowed;
-  };
-
-  // A claimed output wire pins the group to its single feeder (the paper's
-  // outNode_MaxIn): once some cluster feeds `out`, only that cluster can
-  // add further values to the wire.
-  const auto restrictByOutputWire = [&](ClusterId out) {
-    if (!constraints.outputNodeUnaryFanIn) return;
-    const std::uint64_t s = state.inNbrMask(out);
-    if (s == 0) return;
-    m &= (__builtin_popcountll(s) == 1) ? s : 0;
-  };
-
-  bool needAlu = false;
-  bool needAg = false;
-  for (const Item& item : group.members) {
-    if (m == 0) return 0;
-    if (item.kind == Item::Kind::kRelay) {
-      // Source -> candidate (delivered values short-circuit inside), then
-      // candidate -> output wire unless the value already reached it.
-      restrictByCopyFrom(prep.valueSource(item.value), item.value);
-      const ClusterId out = prep.outputNodeOf(item.value);
-      if (!state.valueDelivered(out, item.value)) {
-        m &= arcInMask_[out.index()];
-        restrictByOutputWire(out);
-      }
-      continue;
-    }
-    const DdgNodeId n = item.node;
-    const ddg::ResourceClass rc =
-        ddg::opResource(prep.problem().ddg->node(n).op);
-    needAlu = needAlu || rc == ddg::ResourceClass::kAlu;
-    needAg = needAg || rc == ddg::ResourceClass::kAg;
-    for (const ValueId v : prep.operandValues(n)) {
-      const ClusterId loc = valueLocationT(prep, state, v);
-      if (!loc.valid()) continue;  // producer unplaced: no constraint yet
-      restrictByCopyFrom(loc, v);
-      if (m == 0) return 0;
-    }
-    const ValueId produced(n.value());
-    for (const DdgNodeId consumer : prep.wsConsumers(n)) {
-      const ClusterId d = state.clusterOf(consumer);
-      if (d.valid()) restrictByCopyTo(d);
-    }
-    const ClusterId out = prep.outputNodeOf(produced);
-    if (out.valid()) restrictByOutputWire(out);
-  }
-
-  // Functional-unit exhaustion: usage only grows mid-group, so a cluster
-  // already at its cap in the parent state fails the first member needing
-  // that unit.
-  if (options.maxOpsPerUnit > 0 && m != 0) {
-    std::uint64_t rest = m;
-    while (rest != 0) {
-      const std::uint64_t bit = rest & (~rest + 1);
-      rest ^= bit;
-      const ClusterId c(__builtin_ctzll(bit));
-      const auto& rt = pg.node(c).resources;
-      const auto& usage = state.usage(c);
-      if (usage.instructions + 1 > rt.issueSlots() * options.maxOpsPerUnit ||
-          (needAlu && usage.alu + 1 > rt.alu() * options.maxOpsPerUnit) ||
-          (needAg && usage.ag + 1 > rt.ag() * options.maxOpsPerUnit)) {
-        m &= ~bit;
-      }
-    }
-  }
-  return m;
-}
 
 }  // namespace hca::see

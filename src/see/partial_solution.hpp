@@ -4,70 +4,30 @@
 #include <vector>
 
 #include "machine/pattern_graph.hpp"
-#include "see/prepared.hpp"
+#include "support/ids.hpp"
 
-/// One node of the space-exploration tree (paper Fig. 5): a partial
-/// assignment of the working set, with everything needed to check
-/// assignability and evaluate cost incrementally — per-cluster resource
-/// usage, the copy flow on the PG arcs, the real in-neighbor masks (the
-/// reconfiguration budget), and the distinct values entering/leaving each
-/// cluster (the copy pressure the Mapper will have to distribute over
-/// wires).
+/// The result record of one SEE search: a (partial) assignment of the
+/// working set with the per-cluster resource usage, the copy flow on the PG
+/// arcs, the real in-neighbor masks (the reconfiguration budget) and the
+/// distinct values entering/leaving each cluster (the copy pressure the
+/// Mapper will have to distribute over wires).
 ///
-/// This is the *materialized* representation: plain value semantics, full
-/// deep copies. The beam-search hot path works on `DeltaSolution` overlays
-/// (see snapshot.hpp) instead and materializes a PartialSolution only at
-/// the engine boundary; both representations run the same assignment
-/// semantics from solution_ops.hpp.
+/// Read-only value type: the beam search runs on arena snapshots and
+/// copy-on-write deltas (see snapshot.hpp) and hands its frontier to the
+/// driver, mapper, flat-ICA rung, sub-problem cache and checkpoint
+/// serializer as PartialSolution values built by FlatSolution::toPartial.
 namespace hca::see {
 
 class FlatSolution;
 
 class PartialSolution {
  public:
-  /// Empty assignment; input nodes pre-count their boundary values as sent
-  /// values so wire pressure is measured from the start.
-  static PartialSolution initial(const PreparedProblem& prepared);
-
-  /// The paper's isAssignable interface: cluster kind, resource
-  /// availability, and availability of communication patterns under the
-  /// current reconfiguration budget.
-  [[nodiscard]] bool canAssign(const PreparedProblem& prepared,
-                               const Item& item, ClusterId cluster) const;
-
-  /// Applies the assignment (must be canAssign). Adds the implied copies:
-  /// operand sources -> cluster, cluster -> already-assigned consumers,
-  /// cluster -> output wire if the produced value leaves the sub-problem.
-  void assign(const PreparedProblem& prepared, const Item& item,
-              ClusterId cluster);
-
-  /// Routes `value` from `from` to `to` through intermediate clusters
-  /// (inclusive path, from -> ... -> to). Every hop must be addable; used
-  /// by the route allocator which validates hops beforehand.
-  void applyRoute(const PreparedProblem& prepared, ValueId value,
-                  const std::vector<ClusterId>& path);
-
-  /// True when the arc src->dst exists and adding a copy of `value` on it
-  /// respects the in-neighbor budget (and unary fan-in for output nodes).
-  [[nodiscard]] bool canAddCopy(const PreparedProblem& prepared,
-                                ClusterId src, ClusterId dst,
-                                ValueId value) const;
-
-  /// True when `value` already flows into `dst` on some arc (e.g. via a
-  /// relay route), so no further copy is needed to make it available there.
-  [[nodiscard]] bool valueDelivered(ClusterId dst, ValueId value) const;
-
-  // --- accessors -------------------------------------------------------
   [[nodiscard]] ClusterId clusterOf(DdgNodeId node) const {
     return nodeCluster_[node.index()];
   }
   [[nodiscard]] ClusterId relayCluster(int relayIndex) const {
     return relayCluster_[static_cast<std::size_t>(relayIndex)];
   }
-  /// Cluster currently holding `value` (producer's cluster, or the input
-  /// node it arrives on); invalid if not available yet.
-  [[nodiscard]] ClusterId valueLocation(const PreparedProblem& prepared,
-                                        ValueId value) const;
   [[nodiscard]] const machine::CopyFlow& flow() const { return flow_; }
   [[nodiscard]] const machine::ResourceUsage& usage(ClusterId c) const {
     return usage_[c.index()];
@@ -78,44 +38,14 @@ class PartialSolution {
   [[nodiscard]] int distinctValuesOut(ClusterId c) const {
     return static_cast<int>(outValues_[c.index()].size());
   }
-  [[nodiscard]] int realInNeighborCount(ClusterId c) const {
-    return __builtin_popcountll(inNbrMask_[c.index()]);
-  }
   [[nodiscard]] int assignedCount() const { return assigned_; }
-
   [[nodiscard]] double objective() const { return objective_; }
-  void setObjective(double value) { objective_ = value; }
 
   /// Stable hash of the assignment vector (frontier deduplication).
   [[nodiscard]] std::uint64_t signature() const;
 
   /// Approximate heap footprint in bytes (sub-problem cache accounting).
   [[nodiscard]] std::size_t approxBytes() const;
-
-  // --- Sol interface (solution_ops.hpp) --------------------------------
-  [[nodiscard]] std::uint64_t inNbrMask(ClusterId c) const {
-    return inNbrMask_[c.index()];
-  }
-  [[nodiscard]] bool flowContains(PgArcId arc, ValueId value) const;
-  [[nodiscard]] bool flowIsReal(PgArcId arc) const {
-    return flow_.isReal(arc);
-  }
-  void setNodeCluster(DdgNodeId node, ClusterId cluster) {
-    nodeCluster_[node.index()] = cluster;
-  }
-  void setRelayCluster(std::size_t relayIndex, ClusterId cluster) {
-    relayCluster_[relayIndex] = cluster;
-  }
-  void addOp(ClusterId cluster, ddg::Op op) {
-    usage_[cluster.index()].addOp(op);
-  }
-  /// Registers a copy (idempotent per arc/value); maintains the
-  /// in-neighbor mask and the distinct in/out value lists.
-  bool addFlowCopy(PgArcId arc, ClusterId src, ClusterId dst, ValueId value);
-  void noteAssigned() { ++assigned_; }
-  /// Materialized states don't track critical-path terms — the legacy
-  /// CriticalPathCriterion rescans; only DeltaSolution accumulates them.
-  void addCritTerm(std::uint64_t /*key*/, std::int64_t /*num*/) {}
 
  private:
   friend class FlatSolution;

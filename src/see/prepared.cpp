@@ -80,11 +80,11 @@ PreparedProblem::PreparedProblem(const SeeProblem& problem,
 
   heights_ = ddg.heights(problem.latency);
 
-  // Critical-path adjacency for the incremental objective: every
-  // intra-iteration WS->WS dependence, keyed by (working-set position of
-  // the consumer, operand position) so the delta evaluator can sum penalty
-  // terms in exactly the order CriticalPathCriterion's full scan visits
-  // them. Self-references are skipped — equal clusters never pay.
+  // Critical-path adjacency for the objective: every intra-iteration
+  // WS->WS dependence, keyed by (working-set position of the consumer,
+  // operand position) so penalty terms are summed in one fixed order
+  // however the assignment was reached. Self-references are skipped —
+  // equal clusters never pay.
   wsIndexOf_.assign(static_cast<std::size_t>(ddg.numNodes()), -1);
   for (std::size_t i = 0; i < problem.workingSet.size(); ++i) {
     wsIndexOf_[problem.workingSet[i].index()] = static_cast<std::int32_t>(i);

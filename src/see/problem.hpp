@@ -99,30 +99,13 @@ struct SeeOptions {
   /// escalation ladder then re-plans (degraded bandwidth shrinks the
   /// per-problem state) instead of the process OOMing. Part of the
   /// sub-problem cache key: a result computed under one budget must never
-  /// be replayed under another. The legacy materialized path has no arenas
-  /// and ignores the ceiling (use the default delta path with budgets).
+  /// be replayed under another.
   std::int64_t arenaBudgetBytes = 0;
   /// Chain grouping: merge single-consumer dependence chains into one
   /// priority-list entry so they are placed together (the paper's SEE
   /// "picks a new DDG node (or a set of nodes) at each step"). Groups are
   /// capped at roughly targetIi * issue-width / 2 ops.
   bool chainGrouping = true;
-  /// Runs the beam loop on materialized PartialSolution values (full deep
-  /// copy per candidate) instead of the arena-backed copy-on-write delta
-  /// path. The two paths produce byte-identical results (enforced by the
-  /// delta-identity test suite); this switch exists for that comparison and
-  /// as an escape hatch. Deliberately *not* part of the sub-problem cache
-  /// key.
-  bool legacySearch = false;
-  /// Frontier dominance pruning (see/dominance.hpp): before the node filter
-  /// selects the beam, drop expansions that are dominated by a
-  /// better-or-equal-scored sibling with a pointwise better-or-equal
-  /// resource-residual vector. A heuristic (unlike the feasibility oracle it
-  /// can change the search trajectory), so it defaults to off, *is* part of
-  /// the sub-problem cache key and checkpoint fingerprint, and leaves the
-  /// legacy path untouched. The identity test suite asserts the final
-  /// mapping survives it on the Table 1 kernels.
-  bool dominancePruning = false;
   CostWeights weights;
 };
 
@@ -138,8 +121,9 @@ struct SeeStats {
   /// Route-allocator attempts that found no relay path to the target
   /// cluster (tryAssignGroup returned nothing).
   std::int64_t routeFailures = 0;
-  /// Candidates expanded as pooled copy-on-write deltas instead of full
-  /// PartialSolution deep copies (delta path only; one per delta rebase).
+  /// Candidate clusters considered without copying their parent state:
+  /// one per pooled copy-on-write delta rebase, plus one per cluster the
+  /// feasibility oracle skipped before any rebase.
   std::int64_t copiesAvoided = 0;
   /// Flat snapshots written to the search arenas (initial state plus one
   /// per beam survivor per step).
@@ -148,16 +132,10 @@ struct SeeStats {
   std::int64_t arenaBytesPeak = 0;
   /// Candidate clusters rejected by the feasibility oracle before any
   /// solution state was materialized: direct-loop mask rejections plus
-  /// findPathT calls refused by the static hop-distance table. Each of
+  /// findPath calls refused by the static hop-distance table. Each of
   /// these is work the pre-oracle engine spent on a provably-doomed
   /// candidate.
   std::int64_t oracleRejects = 0;
-  /// findPathT failures answered from the negative route memo (exact
-  /// region-state match with an earlier failed BFS) instead of a re-search.
-  std::int64_t routeMemoHits = 0;
-  /// Frontier expansions dropped by dominance pruning (0 unless
-  /// SeeOptions::dominancePruning).
-  std::int64_t dominancePruned = 0;
 
   /// Folds another search's counters into this one (retry-ladder rungs,
   /// per-level aggregation in the driver's metrics registry).
@@ -173,8 +151,6 @@ struct SeeStats {
     snapshotsMaterialized += other.snapshotsMaterialized;
     arenaBytesPeak = std::max(arenaBytesPeak, other.arenaBytesPeak);
     oracleRejects += other.oracleRejects;
-    routeMemoHits += other.routeMemoHits;
-    dominancePruned += other.dominancePruned;
   }
 };
 

@@ -135,16 +135,7 @@ void writeStats(JsonWriter& json, const SeeStats& s) {
   json.key("sm").value(s.snapshotsMaterialized);
   json.key("ap").value(s.arenaBytesPeak);
   json.key("or").value(s.oracleRejects);
-  json.key("mh").value(s.routeMemoHits);
-  json.key("dp").value(s.dominancePruned);
   json.endObject();
-}
-
-/// Optional integer member: snapshots written before the counter existed
-/// parse as 0 (checkpoint back-compat).
-std::int64_t asIntOr0(const JsonValue& v, const char* key) {
-  const JsonValue* m = v.find(key);
-  return m == nullptr ? 0 : asInt(*m, key);
 }
 
 SeeStats parseStats(const JsonValue& v) {
@@ -159,9 +150,7 @@ SeeStats parseStats(const JsonValue& v) {
   s.copiesAvoided = asInt(member(v, "ca"), "stats.ca");
   s.snapshotsMaterialized = asInt(member(v, "sm"), "stats.sm");
   s.arenaBytesPeak = asInt(member(v, "ap"), "stats.ap");
-  s.oracleRejects = asIntOr0(v, "or");
-  s.routeMemoHits = asIntOr0(v, "mh");
-  s.dominancePruned = asIntOr0(v, "dp");
+  s.oracleRejects = asInt(member(v, "or"), "stats.or");
   return s;
 }
 

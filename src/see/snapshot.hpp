@@ -4,43 +4,34 @@
 #include <vector>
 
 #include "machine/pattern_graph.hpp"
-#include "see/cost.hpp"
 #include "see/partial_solution.hpp"
 #include "see/prepared.hpp"
 #include "support/arena.hpp"
 
-/// Copy-on-write search states for the SEE beam loop.
-///
-/// The legacy engine deep-copied a full `PartialSolution` (per-arc copy
-/// lists, per-PG-node value lists — ~2·P + A heap allocations) for *every*
-/// candidate at every beam step, including candidates rejected by the first
-/// isAssignable check. Here a beam step works on two representations
-/// instead:
+/// The search state of the SEE beam loop, in two halves:
 ///
 ///  * `FlatSolution` — an immutable snapshot of a surviving frontier state,
 ///    placement-allocated in a per-attempt `MonotonicArena` with every
 ///    variable-length list flattened into CSR arrays. Snapshots are written
-///    once (for beam survivors only) and never mutated; the engine
-///    double-buffers two arenas and resets the retired one each step, so
-///    steady-state steps allocate nothing.
+///    once (the initial state and the beam survivors) and never mutated;
+///    the engine double-buffers two arenas and resets the retired one each
+///    step, so steady-state steps allocate nothing.
 ///  * `DeltaSolution` — a pooled, mutable candidate overlay: dense
 ///    fixed-size state (assignment vectors, per-PG-node usage/masks/counts)
 ///    is memcpy'd from the parent snapshot, while the heap-heavy lists stay
 ///    shared with the parent and only *additions* (new copies, newly
 ///    delivered values, completed critical-path terms) are recorded.
 ///
-/// Byte-identity with the legacy path (the contract the identity tests
-/// enforce): both representations run the assignment semantics of
-/// solution_ops.hpp; the incremental objective evaluates the same formulas
-/// over `prepared.clusters()` in the same order (cost.hpp templates); and
-/// the critical-path criterion — the one term whose floating-point sum
-/// order depends on *which* dependences cross clusters — is reproduced by
-/// keeping penalty terms sorted by (working-set position, operand position)
-/// and summing the parent/delta merge in that order, exactly the order the
-/// full scan visits them. Integer aggregates (copy totals, usage, counts)
-/// are exact by construction. When deltas flatten (materialization), list
-/// contents are parent-order followed by append-order — the chronological
-/// order the legacy mutation sequence produces.
+/// The assignment semantics (solution_ops.hpp), the route allocator
+/// (route_allocator.hpp) and the objective (cost.hpp) all operate on a
+/// DeltaSolution; the feasibility oracle reads the parent FlatSolution.
+/// Integer aggregates (copy totals, usage, counts) are exact by
+/// construction. The one floating-point term whose value depends on the
+/// summation order — the critical-path penalty — is kept as terms sorted by
+/// (working-set position, operand position) and summed as a parent/delta
+/// merge in that order, so equal assignments score bit-identically however
+/// they were reached. When a delta flattens, list contents are parent-order
+/// followed by append-order: the chronological order of the edits.
 namespace hca::see {
 
 class DeltaSolution;
@@ -48,17 +39,18 @@ class DeltaSolution;
 /// Immutable arena-backed snapshot of one frontier state.
 class FlatSolution {
  public:
-  /// Snapshots the (typically initial) materialized state into `arena`.
-  static const FlatSolution* fromPartial(const PartialSolution& sol,
-                                         const PreparedProblem& prepared,
-                                         MonotonicArena& arena);
+  /// The empty, scored root of a search in `arena`: nothing assigned,
+  /// input nodes pre-count their boundary values as sent values so wire
+  /// pressure is measured from the start.
+  static const FlatSolution* initial(const PreparedProblem& prepared,
+                                     MonotonicArena& arena);
   /// Flattens parent + delta into a new snapshot in `arena` (which must
   /// not be the arena holding the delta's parent mid-reset).
   static const FlatSolution* fromDelta(const DeltaSolution& delta,
                                        MonotonicArena& arena);
-  /// Reconstructs the value-semantics state for the engine boundary
-  /// (SeeResult / driver / mapper). Produces exactly the PartialSolution
-  /// the legacy search would have built: same list contents, same order.
+  /// Copies the snapshot into the result record handed across the engine
+  /// boundary (SeeResult / driver / mapper): same list contents, same
+  /// order.
   void toPartial(const PreparedProblem& prepared, PartialSolution* out) const;
 
   [[nodiscard]] ClusterId clusterOf(DdgNodeId node) const {
@@ -70,13 +62,8 @@ class FlatSolution {
   [[nodiscard]] std::uint64_t inNbrMask(ClusterId c) const {
     return inNbrMask_[c.index()];
   }
+  /// True when `v` already flows into cluster `c`.
   [[nodiscard]] bool inValuesContain(ClusterId c, ValueId v) const;
-  /// Sol-interface alias for inValuesContain: snapshots are the parent
-  /// states the feasibility oracle reads through the same template code as
-  /// the legacy PartialSolution path.
-  [[nodiscard]] bool valueDelivered(ClusterId dst, ValueId value) const {
-    return inValuesContain(dst, value);
-  }
   [[nodiscard]] bool flowContains(PgArcId arc, ValueId v) const;
   [[nodiscard]] bool flowIsReal(PgArcId arc) const {
     return flowOff_[arc.index() + 1] > flowOff_[arc.index()];
@@ -124,8 +111,8 @@ class FlatSolution {
 };
 
 /// Pooled copy-on-write candidate: dense overlay + edit lists against an
-/// immutable parent snapshot. Implements the Sol interface of
-/// solution_ops.hpp and the score interface of the cost.hpp templates.
+/// immutable parent snapshot. The state solution_ops.hpp mutates and
+/// cost.hpp scores.
 class DeltaSolution {
  public:
   /// Sizes the dense arrays for the problem; called once per pooled
@@ -164,10 +151,10 @@ class DeltaSolution {
   [[nodiscard]] double objective() const { return objective_; }
   void setObjective(double value) { objective_ = value; }
   /// Stable hash of the assignment vector — same FNV-1a stream as
-  /// PartialSolution::signature().
+  /// PartialSolution::signature() of the flattened state.
   [[nodiscard]] std::uint64_t signature() const;
 
-  // --- writes (Sol interface) ------------------------------------------
+  // --- writes (solution_ops.hpp) ----------------------------------------
   void setNodeCluster(DdgNodeId node, ClusterId cluster) {
     nodeCluster_[node.index()] = cluster;
   }
@@ -183,9 +170,9 @@ class DeltaSolution {
     critAdds_.push_back(CritTerm{key, num});
   }
 
-  /// Critical-path penalty: the parent's sorted terms merged with this
-  /// delta's additions, summed in ascending key order (the full-scan
-  /// order). Sorts the additions in place first.
+  /// Critical-path penalty (cost.hpp criterion 4): the parent's sorted
+  /// terms merged with this delta's additions, summed in ascending key
+  /// order. Sorts the additions in place first.
   [[nodiscard]] double criticalPathScore(const PreparedProblem& prepared);
 
  private:
@@ -209,22 +196,6 @@ class DeltaSolution {
   int totalCopies_ = 0;
   int assigned_ = 0;
   double objective_ = 0.0;
-};
-
-/// Evaluates the standard weighted objective over a DeltaSolution without
-/// materializing it: same criteria, same order, same skip rule, same
-/// floating-point accumulation sequence as WeightedObjective over the
-/// equivalent PartialSolution — so the resulting double is bit-identical.
-class IncrementalObjective {
- public:
-  explicit IncrementalObjective(const CostWeights& weights)
-      : weights_(weights) {}
-
-  [[nodiscard]] double evaluate(const PreparedProblem& prepared,
-                                DeltaSolution& delta) const;
-
- private:
-  CostWeights weights_;
 };
 
 }  // namespace hca::see

@@ -6,24 +6,14 @@
 
 #include "machine/pattern_graph.hpp"
 #include "see/prepared.hpp"
+#include "see/snapshot.hpp"
 #include "support/check.hpp"
 
-/// The single implementation of the SEE assignment semantics —
-/// isAssignable, assign, copy-budget checks, route application — shared by
-/// every search-state representation through a small accessor/mutator
-/// interface (`Sol`):
-///
-///   reads:  clusterOf, relayCluster, usage, inNbrMask, valueDelivered,
-///           flowContains, flowIsReal
-///   writes: setNodeCluster, setRelayCluster, addOp, addFlowCopy,
-///           noteAssigned, addCritTerm
-///
-/// `PartialSolution` (the materialized, value-semantics state handed to the
-/// driver/mapper and used by the legacy search path) and `DeltaSolution`
-/// (the copy-on-write candidate overlay of the arena-backed hot path)
-/// implement this interface; instantiating both from one template is what
-/// makes the delta path byte-identical to the legacy path by construction
-/// rather than by parallel maintenance.
+/// The SEE assignment semantics over the search state (snapshot.hpp):
+/// isAssignable, assign, copy-budget checks and route application. Each
+/// check reads a DeltaSolution — its dense overlay plus the parent
+/// snapshot's shared lists — and each mutation records an addition in the
+/// delta.
 namespace hca::see {
 
 namespace detail {
@@ -44,9 +34,8 @@ inline int effectiveInCap(const machine::PgNode& node,
 
 /// Cluster currently holding `value` (producer's cluster, or the input
 /// node it arrives on); invalid if not available yet.
-template <typename Sol>
-ClusterId valueLocationT(const PreparedProblem& prepared, const Sol& sol,
-                         ValueId value) {
+inline ClusterId valueLocation(const PreparedProblem& prepared,
+                               const DeltaSolution& sol, ValueId value) {
   const DdgNodeId producer(value.value());
   if (prepared.inWorkingSet(producer)) return sol.clusterOf(producer);
   return prepared.valueSource(value);
@@ -54,9 +43,9 @@ ClusterId valueLocationT(const PreparedProblem& prepared, const Sol& sol,
 
 /// True when the arc src->dst exists and adding a copy of `value` on it
 /// respects the in-neighbor budget (and unary fan-in for output nodes).
-template <typename Sol>
-bool canAddCopyT(const PreparedProblem& prepared, const Sol& sol,
-                 ClusterId src, ClusterId dst, ValueId value) {
+inline bool canAddCopy(const PreparedProblem& prepared,
+                       const DeltaSolution& sol, ClusterId src, ClusterId dst,
+                       ValueId value) {
   const auto& pg = *prepared.problem().pg;
   if (pg.node(src).dead || pg.node(dst).dead) return false;
   // A node whose output wires are all dead can send nothing new.
@@ -94,9 +83,9 @@ bool canAddCopyT(const PreparedProblem& prepared, const Sol& sol,
 /// The paper's isAssignable interface: cluster kind, resource availability,
 /// and availability of communication patterns under the current
 /// reconfiguration budget.
-template <typename Sol>
-bool canAssignT(const PreparedProblem& prepared, const Sol& sol,
-                const Item& item, ClusterId cluster) {
+inline bool canAssign(const PreparedProblem& prepared,
+                      const DeltaSolution& sol, const Item& item,
+                      ClusterId cluster) {
   const auto& pg = *prepared.problem().pg;
   if (pg.node(cluster).kind != machine::PgNodeKind::kCluster) return false;
   if (pg.node(cluster).dead) return false;
@@ -113,11 +102,11 @@ bool canAssignT(const PreparedProblem& prepared, const Sol& sol,
     const ClusterId source = prepared.valueSource(item.value);
     const ClusterId out = prepared.outputNodeOf(item.value);
     if (!sol.valueDelivered(cluster, item.value) &&
-        !canAddCopyT(prepared, sol, source, cluster, item.value)) {
+        !canAddCopy(prepared, sol, source, cluster, item.value)) {
       return false;
     }
     return sol.valueDelivered(out, item.value) ||
-           canAddCopyT(prepared, sol, cluster, out, item.value);
+           canAddCopy(prepared, sol, cluster, out, item.value);
   }
 
   const DdgNodeId n = item.node;
@@ -145,7 +134,7 @@ bool canAssignT(const PreparedProblem& prepared, const Sol& sol,
   const int inCap = detail::effectiveInCap(pg.node(cluster), constraints);
   std::uint64_t mask = sol.inNbrMask(cluster);
   for (const ValueId v : prepared.operandValues(n)) {
-    const ClusterId loc = valueLocationT(prepared, sol, v);
+    const ClusterId loc = valueLocation(prepared, sol, v);
     if (!loc.valid() || loc == cluster) continue;
     if (sol.valueDelivered(cluster, v)) continue;  // already routed here
     if (pg.node(loc).dead || pg.node(loc).outWireCap == 0) return false;
@@ -166,40 +155,38 @@ bool canAssignT(const PreparedProblem& prepared, const Sol& sol,
     const ClusterId d = sol.clusterOf(consumer);
     if (!d.valid() || d == cluster) continue;
     if (sol.valueDelivered(d, produced)) continue;  // already routed there
-    if (!canAddCopyT(prepared, sol, cluster, d, produced)) return false;
+    if (!canAddCopy(prepared, sol, cluster, d, produced)) return false;
   }
 
   // Output-wire requirement (outNode_MaxIn, Fig. 10).
   const ClusterId out = prepared.outputNodeOf(produced);
   if (out.valid() && !sol.valueDelivered(out, produced) &&
-      !canAddCopyT(prepared, sol, cluster, out, produced)) {
+      !canAddCopy(prepared, sol, cluster, out, produced)) {
     return false;
   }
   return true;
 }
 
-/// Adds a copy of `value` on the (required) arc src->dst; the Sol's
-/// addFlowCopy handles idempotence, the in-neighbor mask, and the distinct
-/// in/out value lists.
-template <typename Sol>
-void addCopyT(const PreparedProblem& prepared, Sol& sol, ClusterId src,
-              ClusterId dst, ValueId value) {
+/// Adds a copy of `value` on the (required) arc src->dst; addFlowCopy
+/// handles idempotence, the in-neighbor mask, and the distinct in/out value
+/// lists.
+inline void addCopy(const PreparedProblem& prepared, DeltaSolution& sol,
+                    ClusterId src, ClusterId dst, ValueId value) {
   const auto& pg = *prepared.problem().pg;
   const auto arc = pg.arcBetween(src, dst);
-  HCA_CHECK(arc.has_value(), "addCopyT without arc " << to_string(src) << "->"
-                                                     << to_string(dst));
+  HCA_CHECK(arc.has_value(),
+            "addCopy without arc " << to_string(src) << "->" << to_string(dst));
   sol.addFlowCopy(*arc, src, dst, value);
 }
 
-/// Applies the assignment (must be canAssignT). Adds the implied copies:
+/// Applies the assignment (must be canAssign). Adds the implied copies:
 /// operand sources -> cluster, cluster -> already-assigned consumers,
 /// cluster -> output wire if the produced value leaves the sub-problem.
 /// Also records the critical-path terms this assignment completes: a
 /// cross-cluster WS dependence charges double(height(consumer)+1) /
 /// maxWsHeight exactly once, when its second endpoint lands.
-template <typename Sol>
-void assignT(const PreparedProblem& prepared, Sol& sol, const Item& item,
-             ClusterId cluster) {
+inline void assign(const PreparedProblem& prepared, DeltaSolution& sol,
+                   const Item& item, ClusterId cluster) {
   if (item.kind == Item::Kind::kRelay) {
     const auto& relays = prepared.problem().relayValues;
     const auto idx = static_cast<std::size_t>(
@@ -208,12 +195,12 @@ void assignT(const PreparedProblem& prepared, Sol& sol, const Item& item,
     sol.setRelayCluster(idx, cluster);
     sol.addOp(cluster, ddg::Op::kRecv);
     if (!sol.valueDelivered(cluster, item.value)) {
-      addCopyT(prepared, sol, prepared.valueSource(item.value), cluster,
+      addCopy(prepared, sol, prepared.valueSource(item.value), cluster,
                item.value);
     }
     const ClusterId relayOut = prepared.outputNodeOf(item.value);
     if (!sol.valueDelivered(relayOut, item.value)) {
-      addCopyT(prepared, sol, cluster, relayOut, item.value);
+      addCopy(prepared, sol, cluster, relayOut, item.value);
     }
     sol.noteAssigned();
     return;
@@ -242,33 +229,32 @@ void assignT(const PreparedProblem& prepared, Sol& sol, const Item& item,
 
   for (const ValueId v : prepared.operandValues(n)) {
     if (sol.valueDelivered(cluster, v)) continue;
-    const ClusterId loc = valueLocationT(prepared, sol, v);
+    const ClusterId loc = valueLocation(prepared, sol, v);
     if (loc.valid() && loc != cluster) {
-      addCopyT(prepared, sol, loc, cluster, v);
+      addCopy(prepared, sol, loc, cluster, v);
     }
   }
   const ValueId produced(n.value());
   for (const DdgNodeId consumer : prepared.wsConsumers(n)) {
     const ClusterId d = sol.clusterOf(consumer);
     if (d.valid() && d != cluster && !sol.valueDelivered(d, produced)) {
-      addCopyT(prepared, sol, cluster, d, produced);
+      addCopy(prepared, sol, cluster, d, produced);
     }
   }
   const ClusterId out = prepared.outputNodeOf(produced);
   if (out.valid() && !sol.valueDelivered(out, produced)) {
-    addCopyT(prepared, sol, cluster, out, produced);
+    addCopy(prepared, sol, cluster, out, produced);
   }
 }
 
 /// Routes `value` from `path.front()` to `path.back()` through intermediate
 /// clusters. Every hop must be addable; the route allocator validates hops
 /// beforehand.
-template <typename Sol>
-void applyRouteT(const PreparedProblem& prepared, Sol& sol, ValueId value,
-                 const std::vector<ClusterId>& path) {
+inline void applyRoute(const PreparedProblem& prepared, DeltaSolution& sol,
+                       ValueId value, const std::vector<ClusterId>& path) {
   HCA_REQUIRE(path.size() >= 2, "route needs at least two nodes");
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    addCopyT(prepared, sol, path[i], path[i + 1], value);
+    addCopy(prepared, sol, path[i], path[i + 1], value);
   }
 }
 

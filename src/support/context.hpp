@@ -24,7 +24,7 @@ struct JsonValue;
 struct RunContext {
   /// Version of the report/history JSON layout. Bumped on incompatible
   /// changes; the differ refuses mismatched versions.
-  static constexpr int kSchemaVersion = 1;
+  static constexpr int kSchemaVersion = 2;
 
   int schemaVersion = kSchemaVersion;
   /// Commit the binaries were configured from ("unknown" outside git).

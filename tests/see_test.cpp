@@ -5,8 +5,11 @@
 #include "ddg/builder.hpp"
 #include "ddg/kernels.hpp"
 #include "machine/rcp.hpp"
+#include "see/cost.hpp"
 #include "see/engine.hpp"
 #include "see/route_allocator.hpp"
+#include "see/snapshot.hpp"
+#include "support/arena.hpp"
 #include "support/check.hpp"
 
 namespace hca::see {
@@ -52,6 +55,46 @@ SeeProblem baseProblem(const ddg::Ddg& ddg, const machine::PatternGraph& pg) {
   problem.inWiresPerCluster = 2;
   problem.outWiresPerCluster = 2;
   return problem;
+}
+
+/// A hand-driven search state: an arena-backed snapshot plus a delta over
+/// it. Edits go into `delta`; commit() flattens them into a new snapshot.
+struct SearchState {
+  explicit SearchState(const PreparedProblem& p) : prepared(p) {
+    flat = FlatSolution::initial(prepared, arena);
+    delta.init(prepared);
+    delta.reset(flat);
+  }
+  void commit() {
+    flat = FlatSolution::fromDelta(delta, arena);
+    delta.reset(flat);
+  }
+  /// The current state (pending edits included) as a result record.
+  PartialSolution result() {
+    commit();
+    PartialSolution out;
+    flat->toPartial(prepared, &out);
+    return out;
+  }
+
+  const PreparedProblem& prepared;
+  MonotonicArena arena;
+  const FlatSolution* flat = nullptr;
+  DeltaSolution delta;
+};
+
+/// The first priority-list node item whose op is `op`.
+Item itemWithOp(const PreparedProblem& prepared, ddg::Op op) {
+  for (const auto& group : prepared.items()) {
+    for (const auto& item : group.members) {
+      if (item.kind == Item::Kind::kNode &&
+          prepared.problem().ddg->node(item.node).op == op) {
+        return item;
+      }
+    }
+  }
+  ADD_FAILURE() << "no item with the requested op";
+  return {};
 }
 
 // --- PreparedProblem ----------------------------------------------------------
@@ -342,8 +385,8 @@ TEST(RouteAllocatorTest, PaperFigure6RoutesThroughIntermediate) {
 }
 
 TEST(RouteAllocatorTest, FindsMultiHopPath) {
-  // Directly exercise tryAssign: line topology 0 -> 1 -> 2, value produced
-  // at 0, consumer forced to 2.
+  // Directly exercise routeAndAssign: line topology 0 -> 1 -> 2, value
+  // produced at 0, consumer forced to 2.
   DdgBuilder b;
   const auto x = b.load(b.cst(0), 0, "x");
   const auto y = b.neg(x, "y");
@@ -363,46 +406,29 @@ TEST(RouteAllocatorTest, FindsMultiHopPath) {
   problem.pg = &pg;
 
   const PreparedProblem prepared(problem, SeeOptions{});
-  auto sol = PartialSolution::initial(prepared);
+  SearchState s(prepared);
   // Assign the load to cluster 0 by hand.
-  Item loadItem;
-  loadItem.kind = Item::Kind::kNode;
-  for (const auto& group : prepared.items()) {
-    for (const auto& item : group.members) {
-      if (item.kind == Item::Kind::kNode &&
-          ddg.node(item.node).op == ddg::Op::kLoad) {
-        loadItem = item;
-      }
-    }
-  }
-  ASSERT_TRUE(sol.canAssign(prepared, loadItem, ClusterId(0)));
-  sol.assign(prepared, loadItem, ClusterId(0));
+  const Item loadItem = itemWithOp(prepared, ddg::Op::kLoad);
+  ASSERT_TRUE(canAssign(prepared, s.delta, loadItem, ClusterId(0)));
+  assign(prepared, s.delta, loadItem, ClusterId(0));
 
   // The neg cannot go on cluster 2 directly (no arc 0 -> 2)...
-  Item negItem;
-  for (const auto& group : prepared.items()) {
-    for (const auto& item : group.members) {
-      if (item.kind == Item::Kind::kNode &&
-          ddg.node(item.node).op == ddg::Op::kNeg) {
-        negItem = item;
-      }
-    }
-  }
-  EXPECT_FALSE(sol.canAssign(prepared, negItem, ClusterId(2)));
+  const Item negItem = itemWithOp(prepared, ddg::Op::kNeg);
+  EXPECT_FALSE(canAssign(prepared, s.delta, negItem, ClusterId(2)));
   // ...but the route allocator relays through cluster 1.
   int routed = 0;
-  const auto extended =
-      RouteAllocator::tryAssign(prepared, sol, negItem, ClusterId(2), &routed);
-  ASSERT_TRUE(extended.has_value());
+  ASSERT_TRUE(routeAndAssign(prepared, s.delta, negItem, ClusterId(2),
+                             &routed));
   EXPECT_EQ(routed, 1);
-  EXPECT_EQ(extended->clusterOf(negItem.node), ClusterId(2));
+  EXPECT_EQ(s.delta.clusterOf(negItem.node), ClusterId(2));
   // The value crosses both arcs.
+  const PartialSolution extended = s.result();
   const ValueId xv(loadItem.node.value());
   const auto a01 = *pg.arcBetween(ClusterId(0), ClusterId(1));
   const auto a12 = *pg.arcBetween(ClusterId(1), ClusterId(2));
-  EXPECT_EQ(extended->flow().copiesOn(a01).size(), 1u);
-  EXPECT_EQ(extended->flow().copiesOn(a01)[0], xv);
-  EXPECT_EQ(extended->flow().copiesOn(a12)[0], xv);
+  EXPECT_EQ(extended.flow().copiesOn(a01).size(), 1u);
+  EXPECT_EQ(extended.flow().copiesOn(a01)[0], xv);
+  EXPECT_EQ(extended.flow().copiesOn(a12)[0], xv);
 }
 
 TEST(RouteAllocatorTest, RespectsHopLimit) {
@@ -427,28 +453,20 @@ TEST(RouteAllocatorTest, RespectsHopLimit) {
   SeeOptions tight;
   tight.maxRouteHops = 2;  // not enough for 3 relays
   const PreparedProblem preparedTight(problem, tight);
-  auto sol = PartialSolution::initial(preparedTight);
-  Item loadItem, negItem;
-  for (const auto& group : preparedTight.items()) {
-    for (const auto& item : group.members) {
-      if (item.kind != Item::Kind::kNode) continue;
-      if (ddg.node(item.node).op == ddg::Op::kLoad) loadItem = item;
-      if (ddg.node(item.node).op == ddg::Op::kNeg) negItem = item;
-    }
-  }
-  sol.assign(preparedTight, loadItem, ClusterId(0));
-  EXPECT_FALSE(RouteAllocator::tryAssign(preparedTight, sol, negItem,
-                                         ClusterId(4), nullptr)
-                   .has_value());
+  SearchState s(preparedTight);
+  const Item loadItem = itemWithOp(preparedTight, ddg::Op::kLoad);
+  const Item negItem = itemWithOp(preparedTight, ddg::Op::kNeg);
+  assign(preparedTight, s.delta, loadItem, ClusterId(0));
+  EXPECT_FALSE(routeAndAssign(preparedTight, s.delta, negItem, ClusterId(4),
+                              nullptr));
 
   SeeOptions loose;
   loose.maxRouteHops = 3;
   const PreparedProblem preparedLoose(problem, loose);
-  auto sol2 = PartialSolution::initial(preparedLoose);
-  sol2.assign(preparedLoose, loadItem, ClusterId(0));
-  EXPECT_TRUE(RouteAllocator::tryAssign(preparedLoose, sol2, negItem,
-                                        ClusterId(4), nullptr)
-                  .has_value());
+  SearchState s2(preparedLoose);
+  assign(preparedLoose, s2.delta, loadItem, ClusterId(0));
+  EXPECT_TRUE(routeAndAssign(preparedLoose, s2.delta, negItem, ClusterId(4),
+                             nullptr));
 }
 
 // --- relays -------------------------------------------------------------------
@@ -496,18 +514,17 @@ TEST(CostTest, IiEstimateGrowsWithLoad) {
   auto problem = baseProblem(ddg, pg);
   const PreparedProblem prepared(problem, SeeOptions{});
 
-  auto sol = PartialSolution::initial(prepared);
-  const IiEstimateCriterion ii;
-  const double before = ii.score(prepared, sol);
+  SearchState s(prepared);
+  const double before = iiEstimateScore(prepared, s.delta);
   // Pile everything on cluster 0.
   for (const auto& group : prepared.items()) {
     for (const auto& item : group.members) {
-      sol.assign(prepared, item, ClusterId(0));
+      assign(prepared, s.delta, item, ClusterId(0));
     }
   }
-  EXPECT_GT(ii.score(prepared, sol), before);
-  EXPECT_EQ(IiEstimateCriterion::clusterMii(prepared, sol, ClusterId(0)), 4);
-  EXPECT_EQ(IiEstimateCriterion::clusterMii(prepared, sol, ClusterId(1)), 1);
+  EXPECT_GT(iiEstimateScore(prepared, s.delta), before);
+  EXPECT_EQ(clusterMii(prepared, s.delta, ClusterId(0)), 4);
+  EXPECT_EQ(clusterMii(prepared, s.delta, ClusterId(1)), 1);
 }
 
 TEST(CostTest, BalancedBeatsUnbalanced) {
@@ -515,61 +532,85 @@ TEST(CostTest, BalancedBeatsUnbalanced) {
   const auto pg = smallPg(2);
   auto problem = baseProblem(ddg, pg);
   const PreparedProblem prepared(problem, SeeOptions{});
-  const LoadBalanceCriterion balance;
 
-  auto lumped = PartialSolution::initial(prepared);
+  SearchState lumped(prepared);
   for (const auto& group : prepared.items()) {
     for (const auto& item : group.members) {
-      lumped.assign(prepared, item, ClusterId(0));
+      assign(prepared, lumped.delta, item, ClusterId(0));
     }
   }
-  auto spread = PartialSolution::initial(prepared);
+  SearchState spread(prepared);
   int i = 0;
   for (const auto& group : prepared.items()) {
     for (const auto& item : group.members) {
-      spread.assign(prepared, item, ClusterId(i++ % 2));
+      assign(prepared, spread.delta, item, ClusterId(i++ % 2));
     }
   }
-  EXPECT_LT(balance.score(prepared, spread), balance.score(prepared, lumped));
+  EXPECT_LT(loadBalanceScore(prepared, spread.delta),
+            loadBalanceScore(prepared, lumped.delta));
 }
 
 TEST(CostTest, CopyCountCountsFlow) {
   const auto ddg = diamondDdg();
   const auto pg = smallPg(2);
   auto problem = baseProblem(ddg, pg);
-  const PreparedProblem prepared(problem, SeeOptions{});
-  auto sol = PartialSolution::initial(prepared);
+  SeeOptions copiesOnly;
+  copiesOnly.weights = CostWeights{.iiEstimate = 0,
+                                   .copyCount = 1,
+                                   .loadBalance = 0,
+                                   .criticalPath = 0,
+                                   .wiringSlack = 0};
+  const PreparedProblem prepared(problem, copiesOnly);
+  SearchState s(prepared);
   int i = 0;
   for (const auto& group : prepared.items()) {
     for (const auto& item : group.members) {
-      sol.assign(prepared, item, ClusterId(i++ % 2));
+      assign(prepared, s.delta, item, ClusterId(i++ % 2));
     }
   }
-  const CopyCountCriterion copies;
-  EXPECT_EQ(copies.score(prepared, sol),
-            static_cast<double>(sol.flow().totalCopies()));
-  EXPECT_GT(sol.flow().totalCopies(), 0);
+  const int copies = s.result().flow().totalCopies();
+  EXPECT_EQ(evaluateObjective(prepared, s.delta),
+            static_cast<double>(copies));
+  EXPECT_GT(copies, 0);
 }
 
 TEST(CostTest, WeightedObjectiveCombines) {
   const auto ddg = diamondDdg();
   const auto pg = smallPg(2);
   auto problem = baseProblem(ddg, pg);
-  const PreparedProblem prepared(problem, SeeOptions{});
-  const auto sol = PartialSolution::initial(prepared);
+  problem.constraints.maxInNeighbors = 2;  // give wiring slack a value
 
-  CostWeights weights;
-  weights.iiEstimate = 10;
-  weights.copyCount = 0;
-  weights.loadBalance = 0;
-  weights.criticalPath = 0;
-  const WeightedObjective objective(weights);
-  const IiEstimateCriterion ii;
-  EXPECT_DOUBLE_EQ(objective.evaluate(prepared, sol),
-                   10 * ii.score(prepared, sol));
-  const auto breakdown = objective.breakdown(prepared, sol);
-  EXPECT_EQ(breakdown.size(), 5u);
-  EXPECT_EQ(breakdown[0].first, "ii-estimate");
+  // A lone weight scales its criterion.
+  SeeOptions iiOnly;
+  iiOnly.weights.iiEstimate = 10;
+  iiOnly.weights.copyCount = 0;
+  iiOnly.weights.loadBalance = 0;
+  iiOnly.weights.criticalPath = 0;
+  iiOnly.weights.wiringSlack = 0;
+  const PreparedProblem preparedIi(problem, iiOnly);
+  SearchState root(preparedIi);
+  EXPECT_DOUBLE_EQ(evaluateObjective(preparedIi, root.delta),
+                   10 * iiEstimateScore(preparedIi, root.delta));
+
+  // All five criteria combine as the weighted sum, in criterion order.
+  const PreparedProblem prepared(problem, SeeOptions{});
+  SearchState s(prepared);
+  int i = 0;
+  for (const auto& group : prepared.items()) {
+    for (const auto& item : group.members) {
+      assign(prepared, s.delta, item, ClusterId(i++ % 2));
+    }
+  }
+  const CostWeights& w = prepared.options().weights;
+  double expected = 0;
+  expected += w.iiEstimate * iiEstimateScore(prepared, s.delta);
+  expected += w.copyCount * static_cast<double>(s.delta.totalCopies());
+  expected += w.loadBalance * loadBalanceScore(prepared, s.delta);
+  expected += w.criticalPath * s.delta.criticalPathScore(prepared);
+  expected += w.wiringSlack * wiringSlackScore(prepared, s.delta);
+  EXPECT_GT(s.delta.criticalPathScore(prepared), 0.0);
+  EXPECT_GT(wiringSlackScore(prepared, s.delta), 0.0);
+  EXPECT_DOUBLE_EQ(evaluateObjective(prepared, s.delta), expected);
 }
 
 // --- beam / filters --------------------------------------------------------------
@@ -614,14 +655,14 @@ TEST(FilterTest, StatsTrackPruning) {
 // --- feasibility oracle -------------------------------------------------------
 
 /// Brute-force direct assignment of a whole group: the loop the oracle's
-/// directFeasibleMask summarizes. Probing on a copy leaves `sol` intact.
+/// directFeasibleMask summarizes, probed on a delta over `state`.
 bool bruteForceDirect(const PreparedProblem& prepared,
-                      const PartialSolution& sol, const ItemGroup& group,
-                      ClusterId c) {
-  PartialSolution probe = sol;
+                      const FlatSolution* state, const ItemGroup& group,
+                      ClusterId c, DeltaSolution& probe) {
+  probe.reset(state);
   for (const Item& item : group.members) {
-    if (!canAssignT(prepared, probe, item, c)) return false;
-    assignT(prepared, probe, item, c);
+    if (!canAssign(prepared, probe, item, c)) return false;
+    assign(prepared, probe, item, c);
   }
   return true;
 }
@@ -637,14 +678,16 @@ void checkMaskSoundOnRandomWalks(const SeeProblem& problem,
   const PreparedProblem prepared(problem, options);
   const FeasibilityOracle& oracle = prepared.oracle();
   std::mt19937 rng(seed);
+  DeltaSolution probe;
+  probe.init(prepared);
   for (int walk = 0; walk < 8; ++walk) {
-    auto sol = PartialSolution::initial(prepared);
+    SearchState s(prepared);
     for (std::size_t gi = 0; gi < prepared.items().size(); ++gi) {
       const ItemGroup& group = prepared.items()[gi];
-      const std::uint64_t mask = oracle.directFeasibleMask(sol, gi);
+      const std::uint64_t mask = oracle.directFeasibleMask(*s.flat, gi);
       std::vector<ClusterId> feasible;
       for (const ClusterId c : prepared.clusters()) {
-        if (!bruteForceDirect(prepared, sol, group, c)) continue;
+        if (!bruteForceDirect(prepared, s.flat, group, c, probe)) continue;
         feasible.push_back(c);
         EXPECT_NE(mask & detail::pgBit(c), 0u)
             << "oracle excluded assignable cluster " << c.value()
@@ -654,8 +697,9 @@ void checkMaskSoundOnRandomWalks(const SeeProblem& problem,
       const ClusterId pick =
           feasible[rng() % static_cast<std::uint32_t>(feasible.size())];
       for (const Item& item : group.members) {
-        assignT(prepared, sol, item, pick);
+        assign(prepared, s.delta, item, pick);
       }
+      s.commit();
     }
   }
 }
@@ -701,7 +745,7 @@ TEST(OracleTest, MaskNeverExcludesAssignableClusterFir2Dim) {
 TEST(OracleTest, HopDistanceMatchesBfsOnFreshLine) {
   // Directed line 0 -> 1 -> ... -> 5 with generous budgets: the dynamic
   // BFS sees exactly the static graph, so the (lazily built) hop matrix
-  // must agree with findPathT in both directions — forward pairs reachable
+  // must agree with findPath in both directions — forward pairs reachable
   // at distance dst-src, backward pairs unreachable.
   DdgBuilder b;
   const auto x = b.load(b.cst(0), 0, "x");
@@ -715,7 +759,8 @@ TEST(OracleTest, HopDistanceMatchesBfsOnFreshLine) {
   const auto problem = baseProblem(ddg, pg);
   const PreparedProblem prepared(problem, SeeOptions{});
   const FeasibilityOracle& oracle = prepared.oracle();
-  const auto sol = PartialSolution::initial(prepared);
+  SearchState state(prepared);
+  const DeltaSolution& sol = state.delta;
   ValueId v;
   for (std::int32_t n = 0; n < ddg.numNodes(); ++n) {
     if (ddg.node(DdgNodeId(n)).name == "x") v = ValueId(n);
@@ -723,7 +768,7 @@ TEST(OracleTest, HopDistanceMatchesBfsOnFreshLine) {
   ASSERT_TRUE(v.valid());
   for (int s = 0; s < 6; ++s) {
     for (int d = 0; d < 6; ++d) {
-      const auto path = findPathT(prepared, sol, ClusterId(s), ClusterId(d),
+      const auto path = findPath(prepared, sol, ClusterId(s), ClusterId(d),
                                   v, /*maxHops=*/10);
       const std::uint8_t hop = oracle.hopDistance(ClusterId(s), ClusterId(d));
       if (d >= s) {
@@ -738,212 +783,59 @@ TEST(OracleTest, HopDistanceMatchesBfsOnFreshLine) {
   }
   // The depth budget applies on top of reachability: 0 -> 4 needs 3
   // relays, so maxHops = 2 must refuse even though hop says reachable.
-  EXPECT_TRUE(findPathT(prepared, sol, ClusterId(0), ClusterId(4), v, 2)
+  EXPECT_TRUE(findPath(prepared, sol, ClusterId(0), ClusterId(4), v, 2)
                   .empty());
-  EXPECT_FALSE(findPathT(prepared, sol, ClusterId(0), ClusterId(4), v, 3)
+  EXPECT_FALSE(findPath(prepared, sol, ClusterId(0), ClusterId(4), v, 3)
                    .empty());
 }
 
-// --- negative route memo ------------------------------------------------------
+// --- search determinism --------------------------------------------------------
 
-/// A 26-cluster directed line and a two-chain DDG: big enough that a memo
-/// region can clear the explored-node floor, with independent value chains
-/// to edit budgets inside and outside a recorded region.
-struct MemoFixture {
-  ddg::Ddg ddg;
-  machine::PatternGraph pg;
-  SeeProblem problem;
-
-  MemoFixture() {
-    DdgBuilder b;
-    const auto x1 = b.load(b.cst(0), 0, "x1");
-    b.store(b.cst(1), b.neg(x1, "y1"));
-    const auto x2 = b.load(b.cst(2), 0, "x2");
-    b.store(b.cst(3), b.neg(x2, "y2"));
-    ddg = b.finish();
-    for (int i = 0; i < 26; ++i) {
-      pg.addCluster(machine::ResourceTable::computationNode());
-    }
-    for (int i = 0; i < 25; ++i) pg.addArc(ClusterId(i), ClusterId(i + 1));
-    problem = baseProblem(ddg, pg);
-  }
-
-  [[nodiscard]] Item itemNamed(const PreparedProblem& prepared,
-                               const std::string& name) const {
-    for (const auto& group : prepared.items()) {
-      for (const auto& item : group.members) {
-        if (item.kind == Item::Kind::kNode &&
-            ddg.node(item.node).name == name) {
-          return item;
-        }
-      }
-    }
-    ADD_FAILURE() << "no item named " << name;
-    return {};
-  }
-
-  [[nodiscard]] ValueId valueNamed(const std::string& name) const {
-    for (std::int32_t v = 0; v < ddg.numNodes(); ++v) {
-      if (ddg.node(DdgNodeId(v)).name == name) return ValueId(v);
-    }
-    ADD_FAILURE() << "no value named " << name;
-    return ValueId();
-  }
-};
-
-TEST(RouteMemoTest, CheapFailuresAreNeverRecorded) {
-  // Below the explored-node floor re-running the BFS is cheaper than a
-  // lookup, so recording must be a no-op and lookups must keep missing.
-  MemoFixture f;
-  SeeOptions options;
-  options.chainGrouping = false;
-  const PreparedProblem prepared(f.problem, options);
-  const auto sol = PartialSolution::initial(prepared);
-  const ValueId v = f.valueNamed("x1");
-  RouteScratch scratch;
-  const std::uint64_t tinyRegion = 0b11;  // 2 nodes: far below the floor
-  for (int i = 0; i < 3; ++i) {
-    scratch.recordFailure(prepared, sol, ClusterId(0), ClusterId(25), v, 27,
-                          tinyRegion);
-  }
-  EXPECT_FALSE(scratch.hasKnownFailure(prepared, sol, ClusterId(0),
-                                       ClusterId(25), v, 27));
-  EXPECT_EQ(scratch.memoHits(), 0);
-}
-
-TEST(RouteMemoTest, InvalidatedExactlyByBudgetTouchingEdits) {
-  MemoFixture f;
-  SeeOptions options;
-  options.chainGrouping = false;
-  const PreparedProblem prepared(f.problem, options);
-  auto sol = PartialSolution::initial(prepared);
-  const ValueId v = f.valueNamed("x1");
-  const std::uint64_t region = (std::uint64_t{1} << 24) - 1;  // nodes 0..23
-  RouteScratch scratch;
-  // First failure arms, second stores the slice of the current budgets.
-  scratch.recordFailure(prepared, sol, ClusterId(0), ClusterId(25), v, 27,
-                        region);
-  scratch.recordFailure(prepared, sol, ClusterId(0), ClusterId(25), v, 27,
-                        region);
-  EXPECT_TRUE(scratch.hasKnownFailure(prepared, sol, ClusterId(0),
-                                      ClusterId(25), v, 27));
-  EXPECT_EQ(scratch.memoHits(), 1);
-
-  // An edit outside the region — x2's chain on clusters 24/25 only touches
-  // arc 24->25 and cluster 25's in-neighbor mask — must keep the hit: the
-  // failed search never saw those budgets (the slice does cover
-  // inNbrMask(24), as the head of region-node 23's out-arc, but not 25's).
-  const Item x2 = f.itemNamed(prepared, "x2");
-  const Item y2 = f.itemNamed(prepared, "y2");
-  ASSERT_TRUE(canAssignT(prepared, sol, x2, ClusterId(24)));
-  assignT(prepared, sol, x2, ClusterId(24));
-  ASSERT_TRUE(canAssignT(prepared, sol, y2, ClusterId(25)));
-  assignT(prepared, sol, y2, ClusterId(25));
-  EXPECT_TRUE(scratch.hasKnownFailure(prepared, sol, ClusterId(0),
-                                      ClusterId(25), v, 27));
-
-  // An edit inside the region — x1's copy crosses arc 0->1, changing a
-  // flow byte and cluster 1's in-neighbor mask the slice covers — must
-  // invalidate the entry.
-  const Item x1 = f.itemNamed(prepared, "x1");
-  const Item y1 = f.itemNamed(prepared, "y1");
-  ASSERT_TRUE(canAssignT(prepared, sol, x1, ClusterId(0)));
-  assignT(prepared, sol, x1, ClusterId(0));
-  ASSERT_TRUE(canAssignT(prepared, sol, y1, ClusterId(1)));
-  assignT(prepared, sol, y1, ClusterId(1));
-  EXPECT_FALSE(scratch.hasKnownFailure(prepared, sol, ClusterId(0),
-                                       ClusterId(25), v, 27));
-  EXPECT_EQ(scratch.memoHits(), 2);
-}
-
-// --- dominance pruning --------------------------------------------------------
-
-TEST(DominanceTest, PruningNeverChangesTheSearch) {
-  const auto kernel = ddg::buildFir2Dim();
-  const auto pg = smallPg(8);
-  const auto problem = baseProblem(kernel.ddg, pg);
-  SeeOptions options;
-  // A narrow beam with a generous candidate keep maximizes the discard
-  // set, which is where dominated states appear on this workload.
-  options.beamWidth = 2;
-  options.candidateKeep = 8;
-  const auto off = SpaceExplorationEngine(options).run(problem);
-  options.dominancePruning = true;
-  const auto on = SpaceExplorationEngine(options).run(problem);
-  ASSERT_TRUE(off.legal);
-  ASSERT_TRUE(on.legal);
-  // Same beam, same counters, same mapping — the pass only prunes states
-  // the node filter discarded anyway.
-  EXPECT_EQ(off.solution.signature(), on.solution.signature());
-  EXPECT_DOUBLE_EQ(off.solution.objective(), on.solution.objective());
-  EXPECT_EQ(off.stats.statesExplored, on.stats.statesExplored);
-  EXPECT_EQ(off.stats.candidatesEvaluated, on.stats.candidatesEvaluated);
-  EXPECT_EQ(off.stats.statesPruned, on.stats.statesPruned);
-  EXPECT_EQ(off.stats.routeInvocations, on.stats.routeInvocations);
-  EXPECT_EQ(off.stats.routeFailures, on.stats.routeFailures);
-  EXPECT_EQ(off.stats.oracleRejects, on.stats.oracleRejects);
-  ASSERT_EQ(off.alternatives.size(), on.alternatives.size());
-  for (std::size_t i = 0; i < off.alternatives.size(); ++i) {
-    EXPECT_EQ(off.alternatives[i].signature(),
-              on.alternatives[i].signature());
-  }
-  // ...and it actually observed dominated discards on this workload.
-  EXPECT_EQ(off.stats.dominancePruned, 0);
-  EXPECT_GT(on.stats.dominancePruned, 0);
-}
-
-// --- copy-on-write delta path -----------------------------------------------
-
-/// The delta/arena path and the legacy deep-copy path are the same search;
-/// results must match field for field (modulo the CoW-only counters).
-void expectSameSearch(const SeeResult& legacy, const SeeResult& delta) {
-  ASSERT_EQ(legacy.legal, delta.legal)
-      << legacy.failureReason << " vs " << delta.failureReason;
-  EXPECT_EQ(legacy.failureReason, delta.failureReason);
-  EXPECT_EQ(legacy.stats.statesExplored, delta.stats.statesExplored);
-  EXPECT_EQ(legacy.stats.candidatesEvaluated, delta.stats.candidatesEvaluated);
-  EXPECT_EQ(legacy.stats.candidateRejections,
-            delta.stats.candidateRejections);
-  EXPECT_EQ(legacy.stats.statesPruned, delta.stats.statesPruned);
-  EXPECT_EQ(legacy.stats.routeInvocations, delta.stats.routeInvocations);
-  EXPECT_EQ(legacy.stats.routeFailures, delta.stats.routeFailures);
-  EXPECT_EQ(legacy.stats.routedOperands, delta.stats.routedOperands);
-  ASSERT_EQ(legacy.alternatives.size(), delta.alternatives.size());
-  for (std::size_t i = 0; i < legacy.alternatives.size(); ++i) {
-    const auto& ls = legacy.alternatives[i];
-    const auto& ds = delta.alternatives[i];
-    EXPECT_EQ(ls.signature(), ds.signature()) << "frontier state " << i;
-    EXPECT_DOUBLE_EQ(ls.objective(), ds.objective()) << "frontier state " << i;
-    EXPECT_EQ(ls.flow().totalCopies(), ds.flow().totalCopies())
+/// Runs `problem` twice under `options`: the search must reproduce itself
+/// field for field, and the copy-on-write bookkeeping must be live.
+void expectDeterministic(const SeeProblem& problem, const SeeOptions& options) {
+  const SpaceExplorationEngine engine(options);
+  const auto a = engine.run(problem);
+  const auto b = engine.run(problem);
+  ASSERT_EQ(a.legal, b.legal) << a.failureReason << " vs " << b.failureReason;
+  EXPECT_EQ(a.failureReason, b.failureReason);
+  EXPECT_EQ(a.stats.statesExplored, b.stats.statesExplored);
+  EXPECT_EQ(a.stats.candidatesEvaluated, b.stats.candidatesEvaluated);
+  EXPECT_EQ(a.stats.candidateRejections, b.stats.candidateRejections);
+  EXPECT_EQ(a.stats.statesPruned, b.stats.statesPruned);
+  EXPECT_EQ(a.stats.routeInvocations, b.stats.routeInvocations);
+  EXPECT_EQ(a.stats.routeFailures, b.stats.routeFailures);
+  EXPECT_EQ(a.stats.routedOperands, b.stats.routedOperands);
+  EXPECT_EQ(a.stats.copiesAvoided, b.stats.copiesAvoided);
+  EXPECT_EQ(a.stats.snapshotsMaterialized, b.stats.snapshotsMaterialized);
+  EXPECT_EQ(a.stats.arenaBytesPeak, b.stats.arenaBytesPeak);
+  ASSERT_EQ(a.alternatives.size(), b.alternatives.size());
+  for (std::size_t i = 0; i < a.alternatives.size(); ++i) {
+    const auto& as = a.alternatives[i];
+    const auto& bs = b.alternatives[i];
+    EXPECT_EQ(as.signature(), bs.signature()) << "frontier state " << i;
+    EXPECT_EQ(as.objective(), bs.objective()) << "frontier state " << i;
+    EXPECT_EQ(as.flow().totalCopies(), bs.flow().totalCopies())
         << "frontier state " << i;
   }
-  if (legacy.legal) {
-    EXPECT_EQ(legacy.solution.signature(), delta.solution.signature());
-    EXPECT_DOUBLE_EQ(legacy.solution.objective(), delta.solution.objective());
+  if (a.legal) {
+    EXPECT_EQ(a.solution.signature(), b.solution.signature());
+    EXPECT_EQ(a.solution.objective(), b.solution.objective());
+  }
+  if (a.stats.statesExplored > 0) {
+    EXPECT_GT(a.stats.copiesAvoided, 0);
+    EXPECT_GT(a.stats.snapshotsMaterialized, 0);
+    EXPECT_GT(a.stats.arenaBytesPeak, 0);
   }
 }
 
-/// Runs `problem` through both paths under `options` and checks equality.
-void roundTrip(const SeeProblem& problem, SeeOptions options) {
-  options.legacySearch = true;
-  const auto legacy = SpaceExplorationEngine(options).run(problem);
-  options.legacySearch = false;
-  const auto delta = SpaceExplorationEngine(options).run(problem);
-  expectSameSearch(legacy, delta);
-  EXPECT_EQ(legacy.stats.copiesAvoided, 0);
-  if (delta.stats.statesExplored > 0) {
-    EXPECT_GT(delta.stats.snapshotsMaterialized, 0);
-    EXPECT_GT(delta.stats.arenaBytesPeak, 0);
-  }
-}
-
-TEST(DeltaSearchTest, MatchesLegacyOnDiamond) {
+TEST(DeltaSearchTest, DeterministicOnDiamond) {
   const auto ddg = diamondDdg();
   const auto pg = smallPg(2);
-  roundTrip(baseProblem(ddg, pg), SeeOptions{});
+  expectDeterministic(baseProblem(ddg, pg), SeeOptions{});
 }
 
-TEST(DeltaSearchTest, MatchesLegacyOnFir2DimAcrossBeamWidths) {
+TEST(DeltaSearchTest, DeterministicOnFir2DimAcrossBeamWidths) {
   const auto kernel = ddg::buildFir2Dim();
   const auto pg = smallPg(8);
   const auto problem = baseProblem(kernel.ddg, pg);
@@ -951,21 +843,21 @@ TEST(DeltaSearchTest, MatchesLegacyOnFir2DimAcrossBeamWidths) {
     SeeOptions options;
     options.beamWidth = beam;
     options.candidateKeep = beam == 1 ? 1 : 4;
-    roundTrip(problem, options);
+    expectDeterministic(problem, options);
   }
 }
 
-TEST(DeltaSearchTest, MatchesLegacyOnInfeasibleProblem) {
-  // One 1x1 cluster cannot host fir2dim: both paths must fail identically
-  // (same failure reason, same partial stats).
+TEST(DeltaSearchTest, DeterministicOnInfeasibleProblem) {
+  // One 1x1 cluster cannot host fir2dim: the failure (reason, partial
+  // stats) must repeat exactly.
   const auto kernel = ddg::buildFir2Dim();
   machine::PatternGraph pg;
   pg.addCluster(machine::ResourceTable(1, 1));
   auto problem = baseProblem(kernel.ddg, pg);
-  roundTrip(problem, SeeOptions{});
+  expectDeterministic(problem, SeeOptions{});
 }
 
-TEST(DeltaSearchTest, MatchesLegacyWithEagerRouting) {
+TEST(DeltaSearchTest, DeterministicWithEagerRouting) {
   const auto kernel = ddg::buildIdctHor();
   const auto pg = smallPg(8);
   auto problem = baseProblem(kernel.ddg, pg);
@@ -974,7 +866,7 @@ TEST(DeltaSearchTest, MatchesLegacyWithEagerRouting) {
   for (const bool eager : {false, true}) {
     SeeOptions options;
     options.eagerRouting = eager;
-    roundTrip(problem, options);
+    expectDeterministic(problem, options);
   }
 }
 
