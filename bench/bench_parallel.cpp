@@ -112,8 +112,7 @@ int main(int argc, char** argv) {
       Row row;
       row.kernel = kernel.name;
       row.numThreads = threads;
-      row.effectiveThreads =
-          ThreadPool::effectiveThreads(threads, options.allowOversubscribe);
+      row.effectiveThreads = ThreadPool::effectiveThreads(threads);
       const auto dup = measured.find(row.effectiveThreads);
       if (dup != measured.end()) {
         // Same effective configuration as an earlier row — re-running it

@@ -48,8 +48,7 @@ int main(int argc, char** argv) {
   if (const char* threadsEnv = std::getenv("HCA_THREADS")) {
     options.numThreads = std::atoi(threadsEnv);
   }
-  const int threads = ThreadPool::effectiveThreads(
-      options.numThreads, options.allowOversubscribe);
+  const int threads = ThreadPool::effectiveThreads(options.numThreads);
 
   std::printf("Table 1 — HCA test on four multimedia application loops\n");
   std::printf("Machine: %s, threads: %d\n\n", config.toString().c_str(),

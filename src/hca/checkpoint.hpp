@@ -115,9 +115,9 @@ struct CheckpointData {
 [[nodiscard]] CheckpointData parseCheckpoint(const std::string& text);
 
 /// The run identity fingerprint (see CheckpointData::fingerprint).
-/// Results-invisible options — deadlineMs, numThreads, allowOversubscribe,
-/// tracing, verification — are excluded: interrupting a run and resuming it
-/// with a longer deadline or different thread count is the point.
+/// Results-invisible options — deadlineMs, numThreads, tracing,
+/// verification — are excluded: interrupting a run and resuming it with a
+/// longer deadline or different thread count is the point.
 [[nodiscard]] std::string runFingerprint(const ddg::Ddg& ddg,
                                          const machine::DspFabricModel& model,
                                          const HcaOptions& options);

@@ -131,8 +131,8 @@ void HcaDriver::applyMemoryBudget(see::SeeOptions& see) const {
   if (options_.memoryBudgetBytes <= 0) return;
   // Half the run budget is the cache's (see runLadder); the other half
   // bounds each SEE solve's snapshot arenas. Per-attempt, not divided by
-  // thread count: a budget that depended on parallelism would break the
-  // serial/parallel identity guarantee.
+  // thread count: a budget that depended on parallelism would make the
+  // result depend on the thread count.
   const std::int64_t arenaShare = std::max<std::int64_t>(
       1, options_.memoryBudgetBytes / 2);
   see.arenaBudgetBytes = see.arenaBudgetBytes > 0
@@ -215,95 +215,12 @@ HcaResult HcaDriver::runAttempt(const ddg::Ddg& ddg,
   return result;
 }
 
-HcaResult HcaDriver::runSerialSweep(const ddg::Ddg& ddg,
-                                    const std::vector<DdgNodeId>& rootWs,
-                                    int iniMii, SubproblemCache* cache,
-                                    const CancellationToken* deadline,
-                                    const std::string& phase,
-                                    const std::string& cacheScope) const {
-  CheckpointManager* ckpt = options_.checkpoint;
-  const int numProfiles = std::max(1, options_.searchProfiles);
-  HcaStats sweepStats;
-  MetricsRegistry sweepMetrics;
-  HcaResult best;
-  bool expired = false;
-  // Failure bookkeeping of the *last* attempt in sweep order, whether it
-  // ran here or was restored from a checkpoint.
-  std::string lastFailureReason;
-  int lastMaxWire = 0;
-  for (int target = iniMii;
-       target <= iniMii + std::max(0, options_.targetIiSlack) && !expired;
-       ++target) {
-    for (int profile = 0; profile < numProfiles; ++profile) {
-      if (deadline != nullptr && deadline->cancelled()) {
-        expired = true;
-        break;
-      }
-      const int index = (target - iniMii) * numProfiles + profile;
-      if (ckpt != nullptr) {
-        if (const CheckpointAttempt* r = ckpt->restoredAttempt(phase, index)) {
-          // This attempt already completed (and failed) in a previous run;
-          // the SEE is deterministic and the cache was pre-warmed to the
-          // same state, so re-running it would reproduce exactly these
-          // counters. Merge and move on.
-          sweepStats.merge(r->stats);
-          lastFailureReason = r->failureReason;
-          lastMaxWire = r->stats.maxWirePressure;
-          continue;
-        }
-      }
-      HcaResult result =
-          runAttempt(ddg, rootWs, target, profile, cache, deadline);
-      if (result.legal) {
-        result.stats.merge(sweepStats);
-        result.metrics.merge(sweepMetrics);
-        return result;
-      }
-      sweepStats.merge(result.stats);
-      sweepMetrics.merge(result.metrics);
-      const bool cancelled = deadline != nullptr && deadline->cancelled();
-      if (cancelled) {
-        // The attempt was aborted mid-search, not genuinely infeasible.
-        ++sweepStats.attemptsCancelled;
-      } else if (ckpt != nullptr) {
-        // Only genuinely completed failures are durable: a cancelled
-        // attempt's partial stats would poison the resume identity — it
-        // simply re-runs.
-        CheckpointAttempt done;
-        done.phase = phase;
-        done.index = index;
-        done.target = target;
-        done.profile = profile;
-        done.failureReason = result.failureReason;
-        done.stats = result.stats;
-        ckpt->noteAttempt(std::move(done), cacheScope, cache);
-      }
-      lastFailureReason = result.failureReason;
-      lastMaxWire = result.stats.maxWirePressure;
-      best = std::move(result);
-    }
-  }
-  // No attempt succeeded: the last attempt's failure with the sweep's
-  // aggregate counters (achievedTargetIi = 0 means "none").
-  best.stats = sweepStats;
-  best.stats.maxWirePressure = lastMaxWire;
-  best.stats.achievedTargetIi = 0;
-  best.metrics = std::move(sweepMetrics);
-  best.failureReason =
-      !lastFailureReason.empty()
-          ? lastFailureReason
-          // The deadline fired before the first attempt even started.
-          : "deadline expired before any outer attempt completed";
-  return best;
-}
-
-HcaResult HcaDriver::runParallelSweep(const ddg::Ddg& ddg,
-                                      const std::vector<DdgNodeId>& rootWs,
-                                      int iniMii, SubproblemCache* cache,
-                                      int numThreads,
-                                      const CancellationToken* deadline,
-                                      const std::string& phase,
-                                      const std::string& cacheScope) const {
+HcaResult HcaDriver::runSweep(const ddg::Ddg& ddg,
+                              const std::vector<DdgNodeId>& rootWs,
+                              int iniMii, SubproblemCache* cache, int threads,
+                              const CancellationToken* deadline,
+                              const std::string& phase,
+                              const std::string& cacheScope) const {
   CheckpointManager* ckpt = options_.checkpoint;
   const int numProfiles = std::max(1, options_.searchProfiles);
   const int numTargets = 1 + std::max(0, options_.targetIiSlack);
@@ -312,7 +229,9 @@ HcaResult HcaDriver::runParallelSweep(const ddg::Ddg& ddg,
   struct AttemptSlot {
     HcaResult result;
     bool completed = false;  // runAttempt returned
-    bool skipped = false;    // soft-cancelled before it started
+    /// Returned illegal with its token already cancelled: aborted
+    /// mid-search, not genuinely infeasible.
+    bool aborted = false;
     /// Completed failure restored from a checkpoint (not re-run).
     const CheckpointAttempt* restored = nullptr;
     std::exception_ptr error;
@@ -320,106 +239,78 @@ HcaResult HcaDriver::runParallelSweep(const ddg::Ddg& ddg,
   std::vector<AttemptSlot> slots(static_cast<std::size_t>(numAttempts));
   std::vector<CancellationToken> tokens(static_cast<std::size_t>(numAttempts));
   // Every per-attempt token also observes the run-wide deadline (chained
-  // before any task can run).
+  // before any attempt can run).
   if (deadline != nullptr) {
     for (auto& token : tokens) token.chainTo(deadline);
   }
-  // Lowest attempt index known to be legal: attempts above it can no
-  // longer be the returned result (the sweep is ordered), so they are
-  // soft-cancelled.
-  std::atomic<int> bestLegal{numAttempts};
+  // Lowest attempt index that ended the sweep (legal or threw): attempts
+  // above it can no longer decide the result (the sweep is ordered), so
+  // they are soft-cancelled.
+  std::atomic<int> horizon{numAttempts};
+  const auto lowerHorizon = [&](int i) {
+    int current = horizon.load(std::memory_order_acquire);
+    while (i < current &&
+           !horizon.compare_exchange_weak(current, i,
+                                          std::memory_order_acq_rel)) {
+    }
+    for (int j = i + 1; j < numAttempts; ++j) {
+      tokens[static_cast<std::size_t>(j)].cancel();
+    }
+  };
 
-  ThreadPool pool(numThreads);
-  for (int i = 0; i < numAttempts; ++i) {
-    pool.submit([&, i] {
-      AttemptSlot& slot = slots[static_cast<std::size_t>(i)];
-      CancellationToken& token = tokens[static_cast<std::size_t>(i)];
-      if (ckpt != nullptr) {
-        if (const CheckpointAttempt* r = ckpt->restoredAttempt(phase, i)) {
-          slot.restored = r;
-          return;
-        }
-      }
-      if (token.cancelled() ||
-          bestLegal.load(std::memory_order_acquire) < i) {
-        slot.skipped = true;
+  const auto runSlot = [&](int i) {
+    AttemptSlot& slot = slots[static_cast<std::size_t>(i)];
+    CancellationToken& token = tokens[static_cast<std::size_t>(i)];
+    // Past the horizon or the deadline: never started, never counted.
+    if (token.cancelled() || horizon.load(std::memory_order_acquire) < i) {
+      return;
+    }
+    if (ckpt != nullptr) {
+      if (const CheckpointAttempt* r = ckpt->restoredAttempt(phase, i)) {
+        // This attempt already completed (and failed) in a previous run;
+        // the SEE is deterministic and the cache was pre-warmed to the
+        // same state, so re-running it would reproduce these counters.
+        slot.restored = r;
         return;
       }
-      try {
-        const int target = iniMii + i / numProfiles;
-        const int profile = i % numProfiles;
-        HcaResult result =
-            runAttempt(ddg, rootWs, target, profile, cache, &token);
-        if (result.legal) {
-          int current = bestLegal.load(std::memory_order_acquire);
-          while (i < current &&
-                 !bestLegal.compare_exchange_weak(current, i,
-                                                  std::memory_order_acq_rel)) {
-          }
-          for (int j = i + 1; j < numAttempts; ++j) {
-            tokens[static_cast<std::size_t>(j)].cancel();
-          }
-        } else if (ckpt != nullptr && !token.cancelled()) {
-          // A genuinely completed failure is durable progress. Recording
-          // order follows completion order; the manager's lock serializes
-          // the file writes.
-          CheckpointAttempt done;
-          done.phase = phase;
-          done.index = i;
-          done.target = iniMii + i / numProfiles;
-          done.profile = i % numProfiles;
-          done.failureReason = result.failureReason;
-          done.stats = result.stats;
-          ckpt->noteAttempt(std::move(done), cacheScope, cache);
-        }
-        slot.result = std::move(result);
-        slot.completed = true;
-      } catch (...) {
-        slot.error = std::current_exception();
+    }
+    const int target = iniMii + i / numProfiles;
+    const int profile = i % numProfiles;
+    try {
+      HcaResult result =
+          runAttempt(ddg, rootWs, target, profile, cache, &token);
+      slot.aborted = !result.legal && token.cancelled();
+      if (result.legal) {
+        lowerHorizon(i);
+      } else if (ckpt != nullptr && !slot.aborted) {
+        // Only a genuinely completed failure is durable progress: a
+        // cancelled attempt's partial stats would poison the resume
+        // identity, so it simply re-runs.
+        CheckpointAttempt done;
+        done.phase = phase;
+        done.index = i;
+        done.target = target;
+        done.profile = profile;
+        done.failureReason = result.failureReason;
+        done.stats = result.stats;
+        ckpt->noteAttempt(std::move(done), cacheScope, cache);
       }
-    });
-  }
-  pool.wait();
-
-  int winner = -1;
-  for (int i = 0; i < numAttempts; ++i) {
-    const AttemptSlot& slot = slots[static_cast<std::size_t>(i)];
-    if (slot.completed && slot.result.legal) {
-      winner = i;
-      break;
+      slot.result = std::move(result);
+      slot.completed = true;
+    } catch (...) {
+      slot.error = std::current_exception();
+      lowerHorizon(i);
     }
-  }
-  // Serial parity for exceptions: only errors the serial sweep would have
-  // reached (before its first legal attempt) propagate.
-  const int errorHorizon = winner < 0 ? numAttempts : winner;
-  for (int i = 0; i < errorHorizon; ++i) {
-    if (slots[static_cast<std::size_t>(i)].error != nullptr) {
-      std::rethrow_exception(slots[static_cast<std::size_t>(i)].error);
-    }
-  }
+  };
 
-  HcaStats aggregate;
   MetricsRegistry aggregateMetrics;
-  for (int i = 0; i < numAttempts; ++i) {
-    AttemptSlot& slot = slots[static_cast<std::size_t>(i)];
-    if (i == winner) continue;
-    if (slot.restored != nullptr) {
-      aggregate.merge(slot.restored->stats);
-      continue;
-    }
-    if (slot.skipped) {
-      ++aggregate.attemptsCancelled;
-      continue;
-    }
-    if (!slot.completed) continue;  // errored past the winner
-    aggregate.merge(slot.result.stats);
-    aggregateMetrics.merge(slot.result.metrics);
-    if (!slot.result.legal && tokens[static_cast<std::size_t>(i)].cancelled()) {
-      ++aggregate.attemptsCancelled;
-    }
-  }
-  // Pool telemetry: how busy the portfolio kept the workers.
-  {
+  if (threads <= 1) {
+    for (int i = 0; i < numAttempts; ++i) runSlot(i);
+  } else {
+    ThreadPool pool(threads);
+    for (int i = 0; i < numAttempts; ++i) pool.submit([&, i] { runSlot(i); });
+    pool.wait();
+    // Pool telemetry: how busy the portfolio kept the workers.
     const ThreadPool::PoolStats ps = pool.stats();
     aggregateMetrics.add("pool.threads", pool.size());
     aggregateMetrics.add("pool.tasks", ps.tasksExecuted);
@@ -428,17 +319,39 @@ HcaResult HcaDriver::runParallelSweep(const ddg::Ddg& ddg,
     aggregateMetrics.histogram("pool.task_run_us").merge(ps.taskRunUs);
   }
 
+  // The first attempt in index order that ended the sweep decides it.
+  int winner = -1;
+  for (int i = 0; i < numAttempts; ++i) {
+    const AttemptSlot& slot = slots[static_cast<std::size_t>(i)];
+    if (slot.error != nullptr) std::rethrow_exception(slot.error);
+    if (slot.completed && slot.result.legal) {
+      winner = i;
+      break;
+    }
+  }
+
+  HcaStats aggregate;
+  for (int i = 0; i < numAttempts; ++i) {
+    const AttemptSlot& slot = slots[static_cast<std::size_t>(i)];
+    if (i == winner) continue;
+    if (slot.restored != nullptr) {
+      aggregate.merge(slot.restored->stats);
+      continue;
+    }
+    if (!slot.completed) continue;  // never started, or threw past the winner
+    aggregate.merge(slot.result.stats);
+    aggregateMetrics.merge(slot.result.metrics);
+    if (slot.aborted) ++aggregate.attemptsCancelled;
+  }
+
   if (winner >= 0) {
     HcaResult result = std::move(slots[static_cast<std::size_t>(winner)].result);
     result.stats.merge(aggregate);
     result.metrics.merge(aggregateMetrics);
     return result;
   }
-  // No attempt succeeded. Without a deadline nothing was cancelled
-  // (cancellation only follows a legal result) and every slot completed;
-  // with one, trailing attempts may have been skipped. Mirror the serial
-  // sweep: return the last completed attempt's failure with the aggregate
-  // counters.
+  // No attempt succeeded: the last completed attempt's failure with the
+  // aggregate counters (achievedTargetIi = 0 means "none").
   int lastCompleted = -1;
   for (int i = numAttempts - 1; i >= 0; --i) {
     if (slots[static_cast<std::size_t>(i)].completed ||
@@ -539,13 +452,14 @@ HcaResult HcaDriver::runChecked(const ddg::Ddg& ddg) const {
                                  iniMii);
   }
   if (span.active()) span.arg("iniMii", std::to_string(iniMii));
-  return runLadder(ddg, rootWs, iniMii, deadline);
+  return runLadder(ddg, rootWs, iniMii, deadline, /*scope=*/"");
 }
 
 HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
                                const std::vector<DdgNodeId>& rootWs,
                                int iniMii,
-                               const CancellationToken* deadline) const {
+                               const CancellationToken* deadline,
+                               const std::string& scope) const {
   const bool degrade = options_.failurePolicy == FailurePolicy::kDegrade;
   const auto expired = [&] {
     return deadline != nullptr && deadline->cancelled();
@@ -562,15 +476,13 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
                                    options_.memoryBudgetBytes / 2 /
                                        kCacheShards)
           : 0;
-  SubproblemCache cache(kCacheShards, /*maxEntriesPerShard=*/0,
-                        maxBytesPerShard);
+  SubproblemCache cache(kCacheShards, maxBytesPerShard);
   SubproblemCache* cachePtr =
       options_.enableSubproblemCache ? &cache : nullptr;
 
   // Resume: pre-warm the cache with the checkpoint's snapshot. The first
   // re-run attempt then observes exactly the cache state it would have had
   // in an uninterrupted run, so hit/miss counters stay byte-identical.
-  const std::string& scope = options_.checkpointScope;
   if (options_.checkpoint != nullptr && cachePtr != nullptr) {
     if (const auto* entries = options_.checkpoint->restoredCache(scope)) {
       for (const auto& [key, seeResult] : *entries) {
@@ -600,23 +512,16 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
 
   // Rung 1 — the primary sweep: smallest target II first (the
   // modulo-scheduling II search applied to clusterization), a few
-  // heuristic profiles per target — serially, or as a parallel portfolio
-  // with deterministic selection.
+  // heuristic profiles per target, with deterministic selection.
   const int numAttempts = (1 + std::max(0, options_.targetIiSlack)) *
                           std::max(1, options_.searchProfiles);
   const int threads =
-      std::min(ThreadPool::effectiveThreads(options_.numThreads,
-                                            options_.allowOversubscribe),
-               numAttempts);
+      std::min(ThreadPool::effectiveThreads(options_.numThreads), numAttempts);
   HcaResult best;
   {
     TraceSpan rung(tracer_, "hca", "rung:primary-sweep");
-    const std::string phase = scope + "sweep";
-    best = threads <= 1
-               ? runSerialSweep(ddg, rootWs, iniMii, cachePtr, deadline,
-                                phase, scope)
-               : runParallelSweep(ddg, rootWs, iniMii, cachePtr, threads,
-                                  deadline, phase, scope);
+    best = runSweep(ddg, rootWs, iniMii, cachePtr, threads, deadline,
+                    scope + "sweep", scope);
   }
   best.metrics.add("ladder.rung.primary", 1);
   if (best.legal) {
@@ -637,13 +542,8 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
     // The rung shares this ladder's cache, so its attempts snapshot under
     // this ladder's scope — but under their own phase label (rungs reuse
     // attempt indices 0..N).
-    const std::string phase = scope + "beam-backoff";
-    HcaResult retry =
-        threads <= 1
-            ? widened.runSerialSweep(ddg, rootWs, iniMii, cachePtr, deadline,
-                                     phase, scope)
-            : widened.runParallelSweep(ddg, rootWs, iniMii, cachePtr, threads,
-                                       deadline, phase, scope);
+    HcaResult retry = widened.runSweep(ddg, rootWs, iniMii, cachePtr, threads,
+                                       deadline, scope + "beam-backoff", scope);
     if (retry.legal) {
       retry.stats.merge(best.stats);
       retry.metrics.merge(best.metrics);
@@ -678,11 +578,11 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
       degradedOptions.degradedFallback = false;
       degradedOptions.failurePolicy = FailurePolicy::kStrict;
       degradedOptions.targetIiSlack = std::max(options_.targetIiSlack, 6);
+      const HcaDriver degraded(std::move(degradedModel), degradedOptions);
       // The nested ladder owns a fresh cache; scope its attempts and cache
       // snapshot so they never collide with this ladder's in the file.
-      degradedOptions.checkpointScope = scope + "degraded-bandwidth/";
-      const HcaDriver degraded(std::move(degradedModel), degradedOptions);
-      HcaResult result = degraded.runLadder(ddg, rootWs, iniMii, deadline);
+      HcaResult result = degraded.runLadder(ddg, rootWs, iniMii, deadline,
+                                            scope + "degraded-bandwidth/");
       if (result.legal) {
         result.stats.merge(best.stats);
         result.metrics.merge(best.metrics);
@@ -721,15 +621,7 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
       result.stats = best.stats;
       result.metrics = std::move(best.metrics);
       ++result.stats.outerAttempts;
-      result.stats.statesExplored += flat.seeStats.statesExplored;
-      result.stats.candidatesEvaluated += flat.seeStats.candidatesEvaluated;
-      result.stats.routeInvocations += flat.seeStats.routeInvocations;
-      result.stats.seeCopiesAvoided += flat.seeStats.copiesAvoided;
-      result.stats.seeSnapshotsMaterialized +=
-          flat.seeStats.snapshotsMaterialized;
-      result.stats.seeArenaBytesPeak = std::max(
-          result.stats.seeArenaBytesPeak, flat.seeStats.arenaBytesPeak);
-      result.stats.seeOracleRejects += flat.seeStats.oracleRejects;
+      result.stats.addSee(flat.seeStats);
       result.stats.problemsSolved += flat.hierarchy.problemsChecked;
       result.stats.maxWirePressure = flat.hierarchy.maxWirePressure;
       result.stats.achievedTargetIi = 0;  // no target II was honored
@@ -875,15 +767,7 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
 
   record->seeStats = seeResult.stats;
   ++result.stats.problemsSolved;
-  result.stats.statesExplored += seeResult.stats.statesExplored;
-  result.stats.candidatesEvaluated += seeResult.stats.candidatesEvaluated;
-  result.stats.routeInvocations += seeResult.stats.routeInvocations;
-  result.stats.seeCopiesAvoided += seeResult.stats.copiesAvoided;
-  result.stats.seeSnapshotsMaterialized +=
-      seeResult.stats.snapshotsMaterialized;
-  result.stats.seeArenaBytesPeak = std::max(
-      result.stats.seeArenaBytesPeak, seeResult.stats.arenaBytesPeak);
-  result.stats.seeOracleRejects += seeResult.stats.oracleRejects;
+  result.stats.addSee(seeResult.stats);
   // Per-level search-pressure series (cache hits replay the recorded
   // SeeStats, so the counters are byte-identical with the cache on or off).
   ++*lm.seeProblems;

@@ -101,17 +101,14 @@ struct HcaOptions {
   /// real ones. Trades MII for guaranteed-sound legality.
   bool degradedFallback = true;
   /// Portfolio parallelism of the outer sweep: every (target II, profile)
-  /// attempt runs as an independent task on a thread pool of this size.
-  /// 0 = hardware_concurrency, 1 = the exact legacy serial sweep. The
-  /// returned result is deterministic and identical to the serial sweep's
-  /// (the lowest-(target, profile) legal attempt wins; attempts that can no
-  /// longer win are soft-cancelled).
+  /// attempt runs as an independent task on a thread pool of this size,
+  /// clamped to hardware_concurrency. 0 = hardware_concurrency; 1 runs the
+  /// same sweep in order on the calling thread, with no pool. The returned
+  /// result is deterministic and independent of the thread count (the
+  /// lowest-(target, profile) legal attempt wins; attempts that can no
+  /// longer win are soft-cancelled, and attempts never started are not
+  /// counted).
   int numThreads = 1;
-  /// By default the effective pool size is clamped to
-  /// hardware_concurrency: requesting 64 workers on a 4-core box makes the
-  /// CPU-bound portfolio strictly slower. Set to true to honor an
-  /// oversubscribed `numThreads` verbatim (scheduling experiments).
-  bool allowOversubscribe = false;
   /// Memoize SEE sub-problem results across outer attempts and backtracking
   /// alternatives (see subproblem_cache.hpp). Results are byte-identical
   /// with the cache on or off; the cache only saves wall-clock.
@@ -165,13 +162,8 @@ struct HcaOptions {
   /// "memory budget exceeded" and the escalation ladder re-plans (the
   /// degraded-bandwidth rung shrinks per-problem state) instead of the
   /// process OOMing. Deterministic: the ceiling never depends on thread
-  /// count or wall-clock, so serial/parallel parity is preserved.
+  /// count or wall-clock, so the result stays independent of both.
   std::int64_t memoryBudgetBytes = 0;
-  /// Checkpoint phase prefix ("" for the root ladder). Internal: set by
-  /// the degraded-bandwidth rung on its nested driver so the two ladders'
-  /// attempt indices and cache snapshots never collide in the checkpoint
-  /// file. Leave empty.
-  std::string checkpointScope;
 };
 
 struct RelayPlacement {
@@ -279,30 +271,25 @@ class HcaDriver {
                                      SubproblemCache* cache,
                                      const CancellationToken* cancel) const;
 
-  /// The legacy serial sweep: attempts in (target asc, profile asc) order,
-  /// first legal result wins. `deadline` (may be null) aborts the sweep
-  /// between and inside attempts. `phase` is this sweep's checkpoint label
-  /// and `cacheScope` the ladder scope owning `cache` (both ignored when
-  /// no checkpoint manager is configured).
-  [[nodiscard]] HcaResult runSerialSweep(const ddg::Ddg& ddg,
-                                         const std::vector<DdgNodeId>& rootWs,
-                                         int iniMii, SubproblemCache* cache,
-                                         const CancellationToken* deadline,
-                                         const std::string& phase,
-                                         const std::string& cacheScope) const;
-
-  /// The parallel portfolio: every attempt is a pool task; a shared
-  /// best-so-far index soft-cancels attempts that can no longer win, and
-  /// the lowest-index legal attempt is returned — deterministically the
-  /// same result as the serial sweep. Per-attempt tokens chain to
-  /// `deadline` (may be null). Checkpoint parameters as in runSerialSweep;
-  /// attempts are recorded in completion order (the manager's lock
-  /// serializes the writes).
-  [[nodiscard]] HcaResult runParallelSweep(
-      const ddg::Ddg& ddg, const std::vector<DdgNodeId>& rootWs, int iniMii,
-      SubproblemCache* cache, int numThreads,
-      const CancellationToken* deadline, const std::string& phase,
-      const std::string& cacheScope) const;
+  /// The outer sweep: every (target II, profile) attempt in index order
+  /// `(target - iniMii) * profiles + profile`. At `threads` <= 1 the
+  /// attempts run in order on the calling thread; above that they are
+  /// tasks on a pool of that size. A shared horizon — the lowest index
+  /// that produced a legal result or threw — soft-cancels every later
+  /// attempt, and the first such attempt in index order decides the sweep:
+  /// its result is returned or its exception rethrown, so the outcome
+  /// never depends on the thread count. Per-attempt tokens chain to
+  /// `deadline` (may be null). `phase` is this sweep's checkpoint label and
+  /// `cacheScope` the ladder scope owning `cache` (both ignored when no
+  /// checkpoint manager is configured); completed failures are recorded in
+  /// completion order (the manager's lock serializes the writes).
+  [[nodiscard]] HcaResult runSweep(const ddg::Ddg& ddg,
+                                   const std::vector<DdgNodeId>& rootWs,
+                                   int iniMii, SubproblemCache* cache,
+                                   int threads,
+                                   const CancellationToken* deadline,
+                                   const std::string& phase,
+                                   const std::string& cacheScope) const;
 
   /// run() minus the input validation / report wrapping: computes iniMii,
   /// arms the deadline and walks the ladder.
@@ -311,11 +298,15 @@ class HcaDriver {
   /// The escalation ladder: primary sweep, then (kDegrade) a widened-beam
   /// retry, then the degraded-bandwidth re-run, then (kDegrade) flat ICA
   /// on the surviving resources. Returns the first legal result, or the
-  /// primary failure annotated with a report under kDegrade.
+  /// primary failure annotated with a report under kDegrade. `scope` is
+  /// the checkpoint prefix of this ladder ("" for the root one; the nested
+  /// degraded-bandwidth ladder gets its own so the two ladders' attempt
+  /// indices and cache snapshots never collide in the checkpoint file).
   [[nodiscard]] HcaResult runLadder(const ddg::Ddg& ddg,
                                     const std::vector<DdgNodeId>& rootWs,
                                     int iniMii,
-                                    const CancellationToken* deadline) const;
+                                    const CancellationToken* deadline,
+                                    const std::string& scope) const;
 
   /// Solves the sub-problem at `path`; returns false (and fills
   /// result.failureReason) on the first illegality.

@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "mapper/problem_record.hpp"
+#include "see/problem.hpp"
 
 /// Per-sub-problem records kept by the HCA driver. They are the audit trail
 /// of the decomposition: the coherency checker re-derives value routability
@@ -21,8 +22,8 @@ using mapper::ProblemRecord;
 /// over every (target II, heuristic profile) attempt of the outer sweep,
 /// including the degraded-bandwidth fallback's own sweep when it runs. The
 /// driver solves each attempt with a private HcaStats and merges it into the
-/// returned result when the attempt completes, so serial and parallel sweeps
-/// produce the same aggregation semantics.
+/// returned result after the sweep, so every thread count produces the same
+/// aggregation semantics.
 struct HcaStats {
   /// SEE sub-problems solved across all attempts. Cache hits count too:
   /// a hit replays the recorded result of an identical solve.
@@ -30,21 +31,21 @@ struct HcaStats {
   /// Runner-up assignments tried after a child sub-problem failed, summed
   /// over all attempts (each attempt has its own `backtrackBudget`).
   int backtrackAttempts = 0;
-  /// (target II, profile) attempts *started* across the whole run. An
-  /// attempt soft-cancelled before it started is counted in
-  /// `attemptsCancelled` only. On a legal serial sweep this is the 1-based
-  /// index of the winning attempt, matching the historical meaning; a
-  /// parallel sweep may start attempts the serial sweep never reached.
+  /// (target II, profile) attempts *started* across the whole run; an
+  /// attempt that never started (past the winner or the deadline) is not
+  /// counted anywhere. On a legal 1-thread sweep this is the 1-based index
+  /// of the winning attempt; with more threads the sweep may also start
+  /// attempts past the winner before they are cancelled.
   int outerAttempts = 0;
   /// Target II of the successful attempt; 0 when no legal clusterization
   /// was found (historically this reported the *last* attempt's target even
   /// on failure).
   int achievedTargetIi = 0;
-  /// Attempts aborted before producing a genuine verdict: portfolio
-  /// attempts soft-cancelled because a lower-index attempt already
-  /// produced a legal result (includes attempts cancelled before they
-  /// started), and — in any sweep — attempts cut short by the run's
-  /// deadline (HcaOptions::deadlineMs).
+  /// Started attempts aborted before producing a genuine verdict: attempts
+  /// soft-cancelled mid-search because a lower-index attempt already
+  /// produced a legal result or threw (only possible with more than one
+  /// thread), and attempts cut short by the run's deadline
+  /// (HcaOptions::deadlineMs). Attempts that never started are not counted.
   int attemptsCancelled = 0;
   std::int64_t statesExplored = 0;     ///< SEE frontier states expanded
   std::int64_t candidatesEvaluated = 0;
@@ -88,6 +89,18 @@ struct HcaStats {
     seeSnapshotsMaterialized += other.seeSnapshotsMaterialized;
     seeArenaBytesPeak = std::max(seeArenaBytesPeak, other.seeArenaBytesPeak);
     seeOracleRejects += other.seeOracleRejects;
+  }
+
+  /// Folds one SEE solve's search counters in (the sub-problem count is
+  /// the caller's: a flat-ICA solve covers many hierarchy problems).
+  void addSee(const see::SeeStats& see) {
+    statesExplored += see.statesExplored;
+    candidatesEvaluated += see.candidatesEvaluated;
+    routeInvocations += see.routeInvocations;
+    seeCopiesAvoided += see.copiesAvoided;
+    seeSnapshotsMaterialized += see.snapshotsMaterialized;
+    seeArenaBytesPeak = std::max(seeArenaBytesPeak, see.arenaBytesPeak);
+    seeOracleRejects += see.oracleRejects;
   }
 };
 

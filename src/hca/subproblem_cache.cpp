@@ -119,10 +119,8 @@ std::string subproblemKey(
   return key;
 }
 
-SubproblemCache::SubproblemCache(int numShards, int maxEntriesPerShard,
-                                 std::int64_t maxBytesPerShard)
-    : maxEntriesPerShard_(maxEntriesPerShard),
-      maxBytesPerShard_(maxBytesPerShard),
+SubproblemCache::SubproblemCache(int numShards, std::int64_t maxBytesPerShard)
+    : maxBytesPerShard_(maxBytesPerShard),
       shards_(static_cast<std::size_t>(numShards)) {
   HCA_REQUIRE(numShards >= 1, "cache needs at least one shard");
 }
@@ -161,23 +159,6 @@ std::shared_ptr<const see::SeeResult> SubproblemCache::insert(
   auto entry = std::make_shared<const see::SeeResult>(std::move(result));
   Shard& shard = shardOf(key);
   MutexLock lock(shard.mutex);
-  if (maxEntriesPerShard_ > 0 &&
-      static_cast<int>(shard.map.size()) >= maxEntriesPerShard_ &&
-      shard.map.find(key) == shard.map.end()) {
-    // Evict the oldest-inserted resident. The order list can carry keys of
-    // already-evicted entries after repeated churn; skip those.
-    while (!shard.insertionOrder.empty()) {
-      const std::string victim = std::move(shard.insertionOrder.front());
-      shard.insertionOrder.erase(shard.insertionOrder.begin());
-      const auto vit = shard.map.find(victim);
-      if (vit != shard.map.end()) {
-        shard.bytes -= approxEntryBytes(victim, *vit->second);
-        shard.map.erase(vit);
-        ++shard.evictions;
-        break;
-      }
-    }
-  }
   const auto [it, inserted] = shard.map.emplace(key, std::move(entry));
   if (inserted) {
     shard.insertionOrder.push_back(key);
@@ -196,11 +177,9 @@ std::shared_ptr<const see::SeeResult> SubproblemCache::insert(
           continue;
         }
         const auto vit = shard.map.find(victim);
-        if (vit != shard.map.end()) {
-          shard.bytes -= approxEntryBytes(victim, *vit->second);
-          shard.map.erase(vit);
-          ++shard.evictions;
-        }
+        shard.bytes -= approxEntryBytes(victim, *vit->second);
+        shard.map.erase(vit);
+        ++shard.evictions;
         shard.insertionOrder.erase(shard.insertionOrder.begin() +
                                    static_cast<std::ptrdiff_t>(cursor));
       }
@@ -250,8 +229,7 @@ void SubproblemCache::forEach(
   for (const Shard& shard : shards_) {
     MutexLock lock(shard.mutex);
     for (const std::string& key : shard.insertionOrder) {
-      const auto it = shard.map.find(key);
-      if (it != shard.map.end()) fn(key, it->second);
+      fn(key, shard.map.at(key));
     }
   }
 }

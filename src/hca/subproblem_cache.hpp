@@ -59,18 +59,15 @@ class SubproblemCache {
     std::int64_t bytes = 0;  ///< approximate resident footprint
   };
 
-  /// `maxEntriesPerShard` <= 0 = unbounded (the default — one run's
-  /// sub-problem population is small). When bounded, an insert into a full
-  /// shard evicts one resident entry (oldest-inserted first) and counts it
-  /// in ShardStats::evictions; correctness is unaffected because evicted
-  /// sub-problems are simply re-solved on the next miss.
-  ///
-  /// `maxBytesPerShard` <= 0 = no byte ceiling. When set, every insert
-  /// updates the shard's approximate byte tally (key plus an estimate of
-  /// the SeeResult's vectors) and sheds oldest-inserted entries until the
-  /// shard is back under its ceiling — the cache half of the driver's
-  /// `HcaOptions::memoryBudgetBytes` contract: degrade hit rate, never OOM.
-  explicit SubproblemCache(int numShards = 16, int maxEntriesPerShard = 0,
+  /// `maxBytesPerShard` <= 0 = unbounded (the default — one run's
+  /// sub-problem population is small). When set, every insert updates the
+  /// shard's approximate byte tally (key plus an estimate of the
+  /// SeeResult's vectors) and sheds oldest-inserted entries until the shard
+  /// is back under its ceiling, counting each in ShardStats::evictions —
+  /// the cache half of the driver's `HcaOptions::memoryBudgetBytes`
+  /// contract: degrade hit rate, never OOM. Correctness is unaffected
+  /// because evicted sub-problems are simply re-solved on the next miss.
+  explicit SubproblemCache(int numShards = 16,
                            std::int64_t maxBytesPerShard = 0);
 
   SubproblemCache(const SubproblemCache&) = delete;
@@ -118,7 +115,8 @@ class SubproblemCache {
     /// `insertionOrder` below, so hash order never reaches a result.
     std::unordered_map<std::string, std::shared_ptr<const see::SeeResult>> map
         HCA_GUARDED_BY(mutex);
-    /// Keys in insertion order, for bounded-mode eviction.
+    /// Exactly the resident keys, in insertion order (eviction erases from
+    /// both containers).
     std::vector<std::string> insertionOrder HCA_GUARDED_BY(mutex);
     std::int64_t hits HCA_GUARDED_BY(mutex) = 0;
     std::int64_t misses HCA_GUARDED_BY(mutex) = 0;
@@ -128,7 +126,6 @@ class SubproblemCache {
 
   [[nodiscard]] Shard& shardOf(const std::string& key) const;
 
-  const int maxEntriesPerShard_;
   const std::int64_t maxBytesPerShard_;
   mutable std::vector<Shard> shards_;
 };

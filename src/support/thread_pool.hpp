@@ -112,13 +112,14 @@ class ThreadPool {
   /// mapped to 1.
   [[nodiscard]] static int hardwareThreads();
 
-  /// resolveThreads, additionally clamped to hardwareThreads() unless the
-  /// caller explicitly opts into oversubscription. Requesting more workers
-  /// than cores makes a CPU-bound portfolio strictly slower (context-switch
-  /// thrash), so the clamp is the default everywhere a user-facing knob
-  /// feeds a pool size.
+  /// resolveThreads, additionally clamped to hardwareThreads(). Requesting
+  /// more workers than cores makes a CPU-bound portfolio strictly slower
+  /// (context-switch thrash), so every user-facing knob that feeds a pool
+  /// size goes through this clamp. `allowOversubscribe` skips the clamp;
+  /// nothing sets it, and it stays only because
+  /// perfbench/compile_bench.cpp passes it explicitly (as false).
   [[nodiscard]] static int effectiveThreads(int requested,
-                                            bool allowOversubscribe);
+                                            bool allowOversubscribe = false);
 
  private:
   struct QueuedTask {

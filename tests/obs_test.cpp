@@ -316,20 +316,6 @@ TEST(CacheStatsTest, CountsHitsMissesPerShard) {
   EXPECT_EQ(stats[0].entries, 1);
 }
 
-TEST(CacheStatsTest, BoundedCacheEvictsOldestFirst) {
-  core::SubproblemCache cache(/*numShards=*/1, /*maxEntriesPerShard=*/2);
-  see::SeeResult result;
-  cache.insert("a", result);
-  cache.insert("b", result);
-  cache.insert("c", result);  // evicts "a"
-  EXPECT_EQ(cache.lookup("a"), nullptr);
-  EXPECT_NE(cache.lookup("b"), nullptr);
-  EXPECT_NE(cache.lookup("c"), nullptr);
-  const auto stats = cache.shardStats();
-  EXPECT_EQ(stats[0].evictions, 1);
-  EXPECT_EQ(stats[0].entries, 2);
-}
-
 // --- driver integration -----------------------------------------------------
 
 struct SolveSpanInfo {

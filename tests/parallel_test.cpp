@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <string>
 
 #include "ddg/builder.hpp"
 #include "ddg/kernels.hpp"
@@ -8,10 +10,12 @@
 #include "hca/mii.hpp"
 #include "hca/subproblem_cache.hpp"
 #include "see/engine.hpp"
+#include "support/check.hpp"
 #include "support/thread_pool.hpp"
+#include "support/trace.hpp"
 
-/// Portfolio-search and memoization coverage: the parallel outer sweep must
-/// be bit-identical to the serial one (it is the same search, just
+/// Portfolio-search and memoization coverage: the outer sweep must return
+/// the same result at every thread count (it is the same search, just
 /// explored concurrently), and a sub-problem cache hit must byte-match a
 /// fresh solve. This file carries the ctest `tsan` label and is the primary
 /// ThreadSanitizer target (build with -DHCA_SANITIZE=thread).
@@ -251,6 +255,38 @@ TEST(PortfolioTest, ParallelSweepSharesOneCache) {
   // Concurrent attempts solve overlapping sub-problems; at least some must
   // resolve as cache hits across attempt boundaries.
   EXPECT_GT(result.stats.cacheHits, 0);
+}
+
+TEST(PortfolioTest, ThrowingAttemptStopsTheSweep) {
+  // An unknown verifier check id makes every attempt throw at its first
+  // per-record check. An error ends the sweep like a legal result: at one
+  // thread the first attempt's exception stops it before any other attempt
+  // starts, and at four threads the same error type surfaces.
+  auto kernels = ddg::table1Kernels();
+  const auto& k = kernels[0];  // fir2dim
+  const auto model = paperFabric();
+  HcaOptions options;
+  options.targetIiSlack = 1;
+  options.searchProfiles = 2;
+  options.verifyEach = true;
+  options.verifyChecks = {"no-such-check"};
+
+  Tracer tracer;
+  HcaOptions serial = options;
+  serial.tracer = &tracer;
+  EXPECT_THROW((void)HcaDriver(model, serial).run(k.ddg),
+               InvalidArgumentError);
+  const auto spans = tracer.spans();
+  const auto attempts = std::count_if(
+      spans.begin(), spans.end(), [](const Tracer::SpanRecord& span) {
+        return std::string(span.name) == "attempt";
+      });
+  EXPECT_EQ(attempts, 1);
+
+  HcaOptions parallel = options;
+  parallel.numThreads = 4;
+  EXPECT_THROW((void)HcaDriver(model, parallel).run(k.ddg),
+               InvalidArgumentError);
 }
 
 // --- aggregate stats semantics -----------------------------------------------

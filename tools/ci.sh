@@ -94,10 +94,15 @@ trap 'rm -rf "${work}"' EXIT
 # Kill-and-resume: SIGTERM a checkpointing run mid-search, then resume it.
 # The interrupted run must exit through the graceful path (not a crash) and
 # leave a loadable checkpoint; the resumed run must complete legally. The
-# kill delay scales up until at least one attempt boundary was reached.
+# kill delay scales up until at least one attempt boundary was reached. The
+# checkpoint is written at 1 thread and resumed at 2: the same sweep runs at
+# every width and the fingerprint excludes the thread count by design.
+# --foreground makes timeout signal hcac once: without it, timeout also
+# signals its own process group, and hcac treats that second SIGTERM as an
+# operator's "stop now" (exit 143 without a checkpoint).
 for delay in 2 5 10 30; do
   set +e
-  timeout --preserve-status --signal=TERM "${delay}" \
+  timeout --foreground --preserve-status --signal=TERM "${delay}" \
     "${hcac}" --kernel h264deblocking --n 3 --m 3 --k 3 \
     --checkpoint-out "${work}/resume.ckpt" >"${work}/interrupted.log" 2>&1
   interrupted_rc=$?
@@ -110,7 +115,7 @@ for delay in 2 5 10 30; do
   [[ -s "${work}/resume.ckpt" ]] && break
 done
 [[ -s "${work}/resume.ckpt" ]] || { echo "ci: no checkpoint written"; exit 1; }
-"${hcac}" --kernel h264deblocking --n 3 --m 3 --k 3 \
+"${hcac}" --kernel h264deblocking --n 3 --m 3 --k 3 --threads 2 \
   --checkpoint-out "${work}/resume.ckpt" --resume >"${work}/resumed.log" 2>&1
 grep -q "resuming from" "${work}/resumed.log" || {
   echo "ci: resumed run did not load the checkpoint"

@@ -73,8 +73,7 @@ void usage() {
       "  --max-beam-steps INT per-attempt SEE expansion budget (0 = off)\n"
       "  --threads INT        outer-sweep portfolio width (default 1;\n"
       "                       0 = hardware_concurrency). Clamped to the\n"
-      "                       core count unless --oversubscribe is given\n"
-      "  --oversubscribe      honor a --threads value above the core count\n"
+      "                       core count\n"
       "  --verify-each        run every registered invariant check between\n"
       "                       pipeline stages and on the final result\n"
       "  --verify LIST        like --verify-each, restricted to a comma-\n"
@@ -242,7 +241,6 @@ int runTool(int argc, char** argv) {
   int deadlineMs = 0;
   int maxBeamSteps = 0;
   int numThreads = 1;
-  bool oversubscribe = false;
   bool schedule = false;
   int simulateIterations = 0;
   bool emitReconfig = false;
@@ -298,7 +296,6 @@ int runTool(int argc, char** argv) {
     else if (arg == "--max-beam-steps")
       maxBeamSteps = parseIntFlag(arg, value());
     else if (arg == "--threads") numThreads = parseIntFlag(arg, value());
-    else if (arg == "--oversubscribe") oversubscribe = true;
     else if (arg == "--verify-each") verifyEach = true;
     else if (arg == "--verify") {
       verifyEach = true;
@@ -439,7 +436,6 @@ int runTool(int argc, char** argv) {
   hcaOptions.deadlineMs = deadlineMs;
   hcaOptions.maxBeamSteps = maxBeamSteps;
   hcaOptions.numThreads = numThreads;
-  hcaOptions.allowOversubscribe = oversubscribe;
   hcaOptions.verifyEach = verifyEach;
   hcaOptions.verifyChecks = verifyChecks;
   hcaOptions.memoryBudgetBytes =
@@ -494,7 +490,7 @@ int runTool(int argc, char** argv) {
   core::ReportMeta meta;
   meta.workload = kernelName.empty() ? filePath : kernelName;
   meta.machine = config.toString();
-  meta.threads = ThreadPool::effectiveThreads(numThreads, oversubscribe);
+  meta.threads = ThreadPool::effectiveThreads(numThreads);
   meta.context = RunContext::current(runId);
   if (!reportOut.empty()) {
     atomicWriteFile(reportOut,
