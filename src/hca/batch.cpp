@@ -19,7 +19,6 @@
 #include "support/io.hpp"
 #include "support/json.hpp"
 #include "support/mutex.hpp"
-#include "support/rng.hpp"
 #include "support/str.hpp"
 #include "support/trace.hpp"
 
@@ -50,12 +49,6 @@ int asI32(const JsonValue& v, const char* what) {
   return static_cast<int>(v.number);
 }
 
-bool asBool(const JsonValue& v, const char* what) {
-  HCA_REQUIRE(v.kind == JsonValue::Kind::kBool,
-              "batch manifest: '" << what << "' must be a bool");
-  return v.boolean;
-}
-
 bool safeName(const std::string& name) {
   if (name.empty()) return false;
   for (const char c : name) {
@@ -66,91 +59,9 @@ bool safeName(const std::string& name) {
   return true;
 }
 
-/// One try's outcome, separated from the retry loop so the loop body stays
-/// a pure state machine.
-struct TryOutcome {
-  enum class Kind { kOk, kFailed, kInvalid, kCancelled } kind = Kind::kFailed;
-  std::string failureReason;
-  std::string fallbackUsed;
-  int achievedTargetIi = 0;
-  bool haveResult = false;
-  HcaResult result;
-};
-
-TryOutcome runOneTry(const BatchJob& job, const ddg::Ddg& ddg,
-                     const machine::DspFabricModel& model,
-                     CheckpointManager* checkpoint, bool lastTry,
-                     const BatchOptions& batch) {
-  TryOutcome out;
-  HcaOptions options = batch.base;
-  options.deadlineMs = job.deadlineMs;
-  options.numThreads = job.threads;
-  options.targetIiSlack = job.targetIiSlack;
-  options.memoryBudgetBytes = job.memoryBudgetBytes;
-  options.externalCancel = batch.cancel;
-  options.checkpoint = checkpoint;
-  if (lastTry && job.degradeOnLastRetry) {
-    // Degrade-on-last-retry: the final try arms the full escalation ladder
-    // (widened beam, degraded bandwidth, flat ICA) instead of failing on
-    // the primary sweep alone.
-    options.failurePolicy = FailurePolicy::kDegrade;
-  }
-  try {
-    const HcaDriver driver(model, options);
-    out.result = driver.run(ddg);
-    out.haveResult = true;
-  } catch (const InvalidArgumentError& e) {
-    // Permanent: the same input fails the same way on every retry.
-    out.kind = TryOutcome::Kind::kInvalid;
-    out.failureReason = e.what();
-    return out;
-  } catch (const std::exception& e) {
-    // Isolation: an internal error in one job must not take the batch
-    // down. It is retriable — a later try runs a different policy.
-    out.kind = TryOutcome::Kind::kFailed;
-    out.failureReason = e.what();
-    return out;
-  }
-  if (out.result.legal) {
-    out.kind = TryOutcome::Kind::kOk;
-    out.fallbackUsed = out.result.fallbackUsed;
-    out.achievedTargetIi = out.result.stats.achievedTargetIi;
-    return out;
-  }
-  // kDegrade folds invalid input into a structured report instead of a
-  // throw; keep the permanence semantics identical across policies.
-  if (out.result.failure != nullptr &&
-      out.result.failure->cause == FailureCause::kInvalidInput) {
-    out.kind = TryOutcome::Kind::kInvalid;
-    out.failureReason = out.result.failureReason;
-    return out;
-  }
-  const bool cancelled = batch.cancel != nullptr && batch.cancel->cancelled();
-  out.kind = cancelled ? TryOutcome::Kind::kCancelled
-                       : TryOutcome::Kind::kFailed;
-  out.failureReason = out.result.failureReason.empty()
-                          ? "no legal mapping"
-                          : out.result.failureReason;
-  return out;
-}
-
-/// Cancellable backoff sleep: 10ms slices, aborted when the shutdown token
-/// trips (the pending retry is then pointless).
-void backoffSleep(std::int64_t delayMs, const BatchOptions& batch) {
-  if (batch.sleeper) {
-    batch.sleeper(delayMs);
-    return;
-  }
-  const auto until = monotonicNow() + std::chrono::milliseconds(delayMs);
-  while (monotonicNow() < until) {
-    if (batch.cancel != nullptr && batch.cancel->cancelled()) return;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-}
-
-void notify(const BatchOptions& batch, const BatchJob& job, int tryNumber,
+void notify(const BatchOptions& batch, const BatchJob& job,
             const char* event) {
-  if (batch.observer) batch.observer(job, tryNumber, event);
+  if (batch.observer) batch.observer(job, event);
 }
 
 /// Live progress for one runBatch invocation: owns the heartbeat JSONL log
@@ -207,30 +118,25 @@ class ProgressTracker {
     emit(event, options_.progressTty);
   }
 
-  /// One job state transition (start / retry-wait / injected-failure /
-  /// try-failed). `phase` becomes the heartbeat's current-phase label.
-  void jobState(const BatchJob& job, const char* state, int tryNumber,
-                const std::string& phase) {
+  /// A job's compile begins: it becomes the heartbeat's current job.
+  void jobStarted(const BatchJob& job) {
     if (!enabled()) return;
     ProgressEvent event;
     {
       MutexLock lock(mu_);
       currentJob_ = job.name;
-      currentTry_ = tryNumber;
-      phase_ = phase;
+      phase_ = "compiling";
       event = baseLocked();
     }
     event.event = "job-state";
-    event.job = job.name;
-    event.state = state;
-    event.tryNumber = tryNumber;
+    event.state = "start";
     emit(event, /*tty=*/false);
   }
 
   /// Terminal transition: folds the job into the cumulative counters (and
   /// the completed-duration pool the ETA is computed from) and emits the
   /// "done" line.
-  void jobDone(const BatchJob& job, BatchJobStatus status, int tryNumber,
+  void jobDone(const BatchJob& job, BatchJobStatus status,
                std::int64_t wallMs) {
     if (!enabled()) return;
     ProgressEvent event;
@@ -244,7 +150,6 @@ class ProgressTracker {
       }
       completedWallMs_ += wallMs;
       currentJob_.clear();
-      currentTry_ = 0;
       phase_ = "idle";
       event = baseLocked();
     }
@@ -252,7 +157,6 @@ class ProgressTracker {
     event.job = job.name;
     event.state = "done";
     event.outcome = to_string(status);
-    event.tryNumber = tryNumber;
     emit(event, /*tty=*/false);
   }
 
@@ -261,7 +165,6 @@ class ProgressTracker {
   ProgressEvent baseLocked() HCA_REQUIRES(mu_) {
     ProgressEvent event;
     event.job = currentJob_;
-    event.tryNumber = currentTry_;
     event.phase = phase_;
     event.jobsTotal = jobsTotal_;
     event.jobsDone = jobsDone_;
@@ -324,10 +227,124 @@ class ProgressTracker {
   int jobsFailed_ HCA_GUARDED_BY(mu_) = 0;
   std::int64_t completedWallMs_ HCA_GUARDED_BY(mu_) = 0;
   std::string currentJob_ HCA_GUARDED_BY(mu_);
-  int currentTry_ HCA_GUARDED_BY(mu_) = 0;
   std::string phase_ HCA_GUARDED_BY(mu_);
   std::thread heartbeat_;
 };
+
+/// Folds a driver result that came back without throwing into `jr`.
+void classify(const HcaResult& result, const BatchOptions& batch,
+              BatchJobResult* jr) {
+  if (result.legal) {
+    jr->status = BatchJobStatus::kOk;
+    jr->fallbackUsed = result.fallbackUsed;
+    jr->achievedTargetIi = result.stats.achievedTargetIi;
+    return;
+  }
+  // kDegrade folds invalid input into a structured report instead of a
+  // throw; classify it like the thrown InvalidArgumentError.
+  if (result.failure != nullptr &&
+      result.failure->cause == FailureCause::kInvalidInput) {
+    jr->status = BatchJobStatus::kInvalid;
+    jr->failureReason = result.failureReason;
+    return;
+  }
+  const bool cancelled = batch.cancel != nullptr && batch.cancel->cancelled();
+  jr->status = cancelled ? BatchJobStatus::kCancelled : BatchJobStatus::kFailed;
+  jr->failureReason = result.failureReason.empty() ? "no legal mapping"
+                                                   : result.failureReason;
+}
+
+/// Runs one job: loads its inputs, compiles it once under kDegrade and
+/// writes its report. Fills every field of `jr` but `wallMs`.
+void runJob(const BatchJob& job, const BatchOptions& options,
+            ProgressTracker& progress, BatchJobResult* jr) {
+  if (options.cancel != nullptr && options.cancel->cancelled()) {
+    jr->status = BatchJobStatus::kCancelled;
+    jr->failureReason = "batch shutdown before the job started";
+    return;
+  }
+
+  // --- Load inputs. Anything wrong here is permanent (kInvalid). ----------
+  ddg::Ddg ddg;
+  std::unique_ptr<machine::DspFabricModel> model;
+  std::unique_ptr<CheckpointManager> checkpoint;
+  try {
+    if (!job.kernel.empty()) {
+      const std::vector<ddg::Kernel> kernels = ddg::table1Kernels();
+      const auto it = std::find_if(
+          kernels.begin(), kernels.end(),
+          [&](const ddg::Kernel& k) { return k.name == job.kernel; });
+      HCA_REQUIRE(it != kernels.end(),
+                  "unknown built-in kernel '" << job.kernel << "'");
+      ddg = it->ddg;
+    } else {
+      ddg = ddg::fromText(readFile(job.ddgPath));
+    }
+    machine::DspFabricConfig config;
+    machine::FaultSet faults;
+    if (!job.faults.empty()) faults = machine::FaultSet::parse(job.faults);
+    model = std::make_unique<machine::DspFabricModel>(config, faults);
+    if (!job.checkpointPath.empty()) {
+      checkpoint = std::make_unique<CheckpointManager>(job.checkpointPath);
+      checkpoint->loadForResume();  // fresh start when the file is absent
+    }
+  } catch (const std::exception& e) {
+    jr->status = BatchJobStatus::kInvalid;
+    jr->failureReason = e.what();
+    return;
+  }
+
+  // --- Compile. -------------------------------------------------------------
+  HcaOptions hcaOptions = options.base;
+  hcaOptions.failurePolicy = FailurePolicy::kDegrade;
+  hcaOptions.deadlineMs = job.deadlineMs;
+  hcaOptions.numThreads = job.threads;
+  hcaOptions.targetIiSlack = job.targetIiSlack;
+  hcaOptions.memoryBudgetBytes = job.memoryBudgetBytes;
+  hcaOptions.externalCancel = options.cancel;
+  hcaOptions.checkpoint = checkpoint.get();
+  notify(options, job, "start");
+  progress.jobStarted(job);
+  HcaResult result;
+  try {
+    const HcaDriver driver(*model, hcaOptions);
+    result = driver.run(ddg);
+  } catch (const InvalidArgumentError& e) {
+    jr->status = BatchJobStatus::kInvalid;
+    jr->failureReason = e.what();
+    return;
+  } catch (const std::exception& e) {
+    // Isolation: an internal error in one job must not take the batch down.
+    jr->status = BatchJobStatus::kFailed;
+    jr->failureReason = e.what();
+    return;
+  }
+  classify(result, options, jr);
+  if (checkpoint != nullptr) {
+    if (jr->status == BatchJobStatus::kOk) {
+      // A finished job has nothing to resume into.
+      removeFileIfExists(checkpoint->path());
+    } else if (jr->status == BatchJobStatus::kCancelled) {
+      // Durability on shutdown: persist whatever the interrupted run
+      // recorded so `--resume` continues from this boundary.
+      checkpoint->flush();
+    }
+  }
+
+  // Best-so-far run report, even for failed/cancelled jobs (an IoError
+  // here is an infrastructure failure and propagates to the caller — job
+  // isolation covers compile failures, not a broken report disk).
+  if (!options.reportDir.empty()) {
+    ReportMeta meta;
+    meta.workload = job.kernel.empty() ? job.ddgPath : job.kernel;
+    meta.machine = model->config().toString();
+    meta.threads = ThreadPool::effectiveThreads(job.threads);
+    meta.context = RunContext::current(options.runId);
+    atomicWriteFile(
+        strCat(options.reportDir, "/", job.name, ".report.json"),
+        runReportJson(result, model.get(), &meta) + "\n");
+  }
+}
 
 }  // namespace
 
@@ -365,14 +382,6 @@ std::vector<BatchJob> parseManifest(const std::string& text) {
         job.ddgPath = asString(value, "ddg");
       } else if (key == "deadline_ms") {
         job.deadlineMs = asI32(value, "deadline_ms");
-      } else if (key == "max_retries") {
-        job.maxRetries = asI32(value, "max_retries");
-      } else if (key == "backoff_base_ms") {
-        job.backoffBaseMs = asI32(value, "backoff_base_ms");
-      } else if (key == "degrade_on_last_retry") {
-        job.degradeOnLastRetry = asBool(value, "degrade_on_last_retry");
-      } else if (key == "fail_first_attempts") {
-        job.failFirstAttempts = asI32(value, "fail_first_attempts");
       } else if (key == "checkpoint") {
         job.checkpointPath = asString(value, "checkpoint");
       } else if (key == "memory_budget_mb") {
@@ -401,29 +410,12 @@ std::vector<BatchJob> parseManifest(const std::string& text) {
                 "batch manifest: job '" << job.name
                                         << "' needs exactly one of 'kernel' "
                                            "or 'ddg'");
-    HCA_REQUIRE(job.deadlineMs >= 0 && job.maxRetries >= 0 &&
-                    job.backoffBaseMs >= 1 && job.failFirstAttempts >= 0,
+    HCA_REQUIRE(job.deadlineMs >= 0,
                 "batch manifest: job '" << job.name
                                         << "' has a negative budget field");
     jobs.push_back(std::move(job));
   }
   return jobs;
-}
-
-std::int64_t backoffDelayMs(const std::string& jobName, int tryNumber,
-                            int backoffBaseMs) {
-  HCA_REQUIRE(tryNumber >= 2, "backoff precedes retries only (try >= 2)");
-  const int exponent = std::min(tryNumber - 2, 16);
-  const std::int64_t base =
-      std::min<std::int64_t>(static_cast<std::int64_t>(backoffBaseMs)
-                                 << exponent,
-                             30'000);
-  // Deterministic jitter: seeded from (job, try), so a retry schedule is
-  // reproducible in tests yet de-synchronized across jobs and processes.
-  Rng rng(fnv1a64(jobName) ^ (static_cast<std::uint64_t>(tryNumber) << 32));
-  const std::int64_t jitter = static_cast<std::int64_t>(
-      rng.below(static_cast<std::uint64_t>(std::max(1, backoffBaseMs))));
-  return base + jitter;
 }
 
 BatchSummary runBatch(const std::vector<BatchJob>& jobs,
@@ -434,168 +426,21 @@ BatchSummary runBatch(const std::vector<BatchJob>& jobs,
     BatchJobResult jr;
     jr.name = job.name;
     const auto started = monotonicNow();
-
-    const bool shuttingDown =
-        options.cancel != nullptr && options.cancel->cancelled();
-    if (shuttingDown) {
-      jr.status = BatchJobStatus::kCancelled;
-      jr.failureReason = "batch shutdown before the job started";
-      notify(options, job, 0, "cancelled");
-      progress.jobDone(job, BatchJobStatus::kCancelled, 0, 0);
-      summary.jobs.push_back(std::move(jr));
-      ++summary.cancelled;
-      continue;
-    }
-
-    // --- Load inputs. Anything wrong here is permanent (kInvalid). --------
-    ddg::Ddg ddg;
-    std::unique_ptr<machine::DspFabricModel> model;
-    std::unique_ptr<CheckpointManager> checkpoint;
-    std::string loadError;
-    try {
-      if (!job.kernel.empty()) {
-        const std::vector<ddg::Kernel> kernels = ddg::table1Kernels();
-        const auto it = std::find_if(
-            kernels.begin(), kernels.end(),
-            [&](const ddg::Kernel& k) { return k.name == job.kernel; });
-        HCA_REQUIRE(it != kernels.end(),
-                    "unknown built-in kernel '" << job.kernel << "'");
-        ddg = it->ddg;
-      } else {
-        ddg = ddg::fromText(readFile(job.ddgPath));
-      }
-      machine::DspFabricConfig config;
-      machine::FaultSet faults;
-      if (!job.faults.empty()) faults = machine::FaultSet::parse(job.faults);
-      model = std::make_unique<machine::DspFabricModel>(config, faults);
-      if (!job.checkpointPath.empty()) {
-        checkpoint = std::make_unique<CheckpointManager>(job.checkpointPath);
-        checkpoint->loadForResume();  // fresh start when the file is absent
-      }
-    } catch (const std::exception& e) {
-      loadError = e.what();
-    }
-    if (!loadError.empty()) {
-      jr.status = BatchJobStatus::kInvalid;
-      jr.failureReason = loadError;
-      notify(options, job, 0, "invalid");
-      jr.wallMs = microsBetween(started, monotonicNow()) / 1000;
-      progress.jobDone(job, BatchJobStatus::kInvalid, 0, jr.wallMs);
-      summary.jobs.push_back(std::move(jr));
-      ++summary.invalid;
-      continue;
-    }
-
-    // --- Retry loop. ------------------------------------------------------
-    const int maxTries = 1 + std::max(0, job.maxRetries);
-    TryOutcome outcome;
-    for (int tryNumber = 1; tryNumber <= maxTries; ++tryNumber) {
-      if (options.cancel != nullptr && options.cancel->cancelled()) {
-        outcome.kind = TryOutcome::Kind::kCancelled;
-        outcome.failureReason = "batch shutdown during retry backoff";
-        break;
-      }
-      if (tryNumber >= 2) {
-        notify(options, job, tryNumber, "retry-wait");
-        progress.jobState(job, "retry-wait", tryNumber,
-                          strCat("retry-wait before try ", tryNumber, "/",
-                                 maxTries));
-        backoffSleep(backoffDelayMs(job.name, tryNumber, job.backoffBaseMs),
-                     options);
-        if (options.cancel != nullptr && options.cancel->cancelled()) {
-          outcome.kind = TryOutcome::Kind::kCancelled;
-          outcome.failureReason = "batch shutdown during retry backoff";
-          break;
-        }
-      }
-      jr.triesUsed = tryNumber;
-      if (tryNumber <= job.failFirstAttempts) {
-        // Deterministic fault injection (tests, CI): this try fails
-        // outright, exercising the retry/backoff path without a flaky
-        // dependency on search behaviour.
-        notify(options, job, tryNumber, "injected-failure");
-        progress.jobState(job, "injected-failure", tryNumber,
-                          strCat("injected failure on try ", tryNumber, "/",
-                                 maxTries));
-        outcome.kind = TryOutcome::Kind::kFailed;
-        outcome.failureReason =
-            strCat("injected failure (fail_first_attempts=",
-                   job.failFirstAttempts, ")");
-        continue;
-      }
-      const bool lastTry = tryNumber == maxTries;
-      notify(options, job, tryNumber, "start");
-      jr.degraded = lastTry && job.degradeOnLastRetry;
-      progress.jobState(job, "start", tryNumber,
-                        strCat("compiling (try ", tryNumber, "/", maxTries,
-                               jr.degraded ? ", degraded)" : ")"));
-      outcome = runOneTry(job, ddg, *model, checkpoint.get(), lastTry,
-                          options);
-      if (outcome.kind == TryOutcome::Kind::kOk ||
-          outcome.kind == TryOutcome::Kind::kInvalid ||
-          outcome.kind == TryOutcome::Kind::kCancelled) {
-        break;
-      }
-      notify(options, job, tryNumber, "failed");
-      progress.jobState(job, "try-failed", tryNumber,
-                        strCat("try ", tryNumber, "/", maxTries, " failed"));
-    }
-
-    // --- Fold the final outcome into the summary. -------------------------
-    switch (outcome.kind) {
-      case TryOutcome::Kind::kOk:
-        jr.status = BatchJobStatus::kOk;
-        jr.fallbackUsed = outcome.fallbackUsed;
-        jr.achievedTargetIi = outcome.achievedTargetIi;
-        // A finished job has nothing to resume into.
-        if (checkpoint != nullptr) removeFileIfExists(checkpoint->path());
-        ++summary.ok;
-        notify(options, job, jr.triesUsed, "ok");
-        break;
-      case TryOutcome::Kind::kFailed:
-        jr.status = BatchJobStatus::kFailed;
-        jr.failureReason = outcome.failureReason;
-        ++summary.failed;
-        break;
-      case TryOutcome::Kind::kInvalid:
-        jr.status = BatchJobStatus::kInvalid;
-        jr.failureReason = outcome.failureReason;
-        ++summary.invalid;
-        notify(options, job, jr.triesUsed, "invalid");
-        break;
-      case TryOutcome::Kind::kCancelled:
-        jr.status = BatchJobStatus::kCancelled;
-        jr.failureReason = outcome.failureReason;
-        // Durability on shutdown: persist whatever the interrupted run
-        // recorded so `--resume` continues from this boundary.
-        if (checkpoint != nullptr) checkpoint->flush();
-        ++summary.cancelled;
-        notify(options, job, jr.triesUsed, "cancelled");
-        break;
-    }
+    runJob(job, options, progress, &jr);
     jr.wallMs = microsBetween(started, monotonicNow()) / 1000;
-    progress.jobDone(job, jr.status, jr.triesUsed, jr.wallMs);
-
-    // Best-so-far run report, even for failed/cancelled jobs (an IoError
-    // here is an infrastructure failure and propagates to the caller —
-    // job isolation covers compile failures, not a broken report disk).
-    if (!options.reportDir.empty() && outcome.haveResult) {
-      ReportMeta meta;
-      meta.workload = job.kernel.empty() ? job.ddgPath : job.kernel;
-      meta.machine = model->config().toString();
-      meta.threads = job.threads;
-      meta.context = RunContext::current(options.runId);
-      atomicWriteFile(strCat(options.reportDir, "/", job.name,
-                             ".report.json"),
-                      runReportJson(outcome.result, model.get(), &meta) +
-                          "\n");
+    notify(options, job, to_string(jr.status));
+    progress.jobDone(job, jr.status, jr.wallMs);
+    switch (jr.status) {
+      case BatchJobStatus::kOk: ++summary.ok; break;
+      case BatchJobStatus::kFailed: ++summary.failed; break;
+      case BatchJobStatus::kInvalid: ++summary.invalid; break;
+      case BatchJobStatus::kCancelled: ++summary.cancelled; break;
     }
     summary.jobs.push_back(std::move(jr));
   }
   progress.stop();
   return summary;
 }
-
 std::string batchSummaryJson(const BatchSummary& summary) {
   std::ostringstream os;
   JsonWriter json(os);
@@ -610,8 +455,6 @@ std::string batchSummaryJson(const BatchSummary& summary) {
     json.beginObject();
     json.key("name").value(jr.name);
     json.key("status").value(to_string(jr.status));
-    json.key("tries_used").value(jr.triesUsed);
-    json.key("degraded").value(jr.degraded);
     json.key("fallback_used").value(jr.fallbackUsed);
     json.key("failure_reason").value(jr.failureReason);
     json.key("achieved_target_ii").value(jr.achievedTargetIi);

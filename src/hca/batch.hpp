@@ -11,15 +11,13 @@
 /// Fault-isolated batch compilation (`hcac --batch manifest.json`).
 ///
 /// A manifest names a list of compile jobs (built-in kernel or DDG file,
-/// per-job deadline, retry policy). The batch driver runs them in order
-/// with hard isolation: one job throwing, timing out or failing to map
-/// never takes the rest of the batch down. Failed jobs are retried with
-/// exponential backoff plus deterministic jitter (seeded from the job
-/// name, so two batch processes started together do not retry in
-/// lockstep); the last retry can optionally flip the job to the kDegrade
-/// failure policy, which arms the escalation ladder (widened beam,
-/// degraded bandwidth, flat ICA) before giving up. Invalid inputs are
-/// permanent — they are never retried.
+/// per-job deadline, checkpoint, budgets). The batch driver runs them in
+/// order with hard isolation: one job throwing, timing out or failing to
+/// map never takes the rest of the batch down. Each job compiles exactly
+/// once, under the kDegrade failure policy, so the escalation ladder
+/// (widened beam, degraded bandwidth, flat ICA) runs before the job counts
+/// as failed. The search is deterministic, so compiling a failed job again
+/// would only repeat the same failure.
 ///
 /// Shutdown: the batch observes an external CancellationToken (the CLI
 /// wires SIGINT/SIGTERM to it). A tripped token cancels the in-flight
@@ -33,11 +31,6 @@
 ///      "kernel": "fir2dim",           // exactly one of kernel | ddg
 ///      "ddg": "path/to/kernel.ddg",   // ddg/serialize text format
 ///      "deadline_ms": 2000,           // 0 = unlimited (default)
-///      "max_retries": 2,              // retries after the first try
-///      "backoff_base_ms": 100,        // backoff unit (default 100)
-///      "degrade_on_last_retry": true, // default true
-///      "fail_first_attempts": 0,      // deterministic fault injection:
-///                                     // fail the first N tries outright
 ///      "checkpoint": "fir.ckpt",      // per-job checkpoint/resume file
 ///      "memory_budget_mb": 0,         // HcaOptions::memoryBudgetBytes
 ///      "threads": 1,                  // HcaOptions::numThreads
@@ -51,10 +44,6 @@ struct BatchJob {
   std::string kernel;   ///< built-in Table 1 kernel name…
   std::string ddgPath;  ///< …or a ddg text file (exactly one set)
   int deadlineMs = 0;
-  int maxRetries = 0;
-  int backoffBaseMs = 100;
-  bool degradeOnLastRetry = true;
-  int failFirstAttempts = 0;
   std::string checkpointPath;
   std::int64_t memoryBudgetBytes = 0;
   int threads = 1;
@@ -64,8 +53,8 @@ struct BatchJob {
 
 enum class BatchJobStatus {
   kOk,         ///< a legal mapping was produced
-  kFailed,     ///< all tries exhausted without a legal mapping
-  kInvalid,    ///< bad input (DDG, faults, checkpoint) — never retried
+  kFailed,     ///< the compile produced no legal mapping
+  kInvalid,    ///< bad input (DDG, faults, checkpoint)
   kCancelled,  ///< shutdown tripped before/while the job ran
 };
 
@@ -74,10 +63,6 @@ enum class BatchJobStatus {
 struct BatchJobResult {
   std::string name;
   BatchJobStatus status = BatchJobStatus::kCancelled;
-  /// Tries actually started (1 = no retry was needed).
-  int triesUsed = 0;
-  /// True when the final try ran under FailurePolicy::kDegrade.
-  bool degraded = false;
   /// Ladder rung that produced a legal result ("" = primary sweep).
   std::string fallbackUsed;
   std::string failureReason;
@@ -121,28 +106,18 @@ struct BatchOptions {
   /// (`hcac --run-id`); empty = unset.
   std::string runId;
   /// Base HcaOptions every job starts from (per-job manifest fields are
-  /// layered on top).
+  /// layered on top; the failure policy is always kDegrade).
   HcaOptions base;
-  /// Progress observer (may be empty): called with the job, the 1-based
-  /// try number and a short event string ("start", "ok", "retry", ...).
-  std::function<void(const BatchJob&, int tryNumber, const std::string&)>
-      observer;
-  /// Test seam: when set, replaces the real backoff sleep (receives the
-  /// computed delay). Production leaves it empty and sleeps in small
-  /// cancellable slices.
-  std::function<void(std::int64_t delayMs)> sleeper;
+  /// Progress observer (may be empty): called with the job and a short
+  /// event string: "start" when its compile begins, then its final status
+  /// (to_string(BatchJobStatus)).
+  std::function<void(const BatchJob&, const std::string&)> observer;
 };
 
 /// Parses a manifest document. Throws InvalidArgumentError (with a
 /// field-naming message) on syntax errors, duplicate names, unknown
 /// members or a job naming neither/both of kernel and ddg.
 [[nodiscard]] std::vector<BatchJob> parseManifest(const std::string& text);
-
-/// Deterministic retry delay before try `tryNumber` (2-based: the delay
-/// precedes the first retry): backoffBaseMs * 2^(tryNumber-2), capped at
-/// 30s, plus jitter in [0, base) seeded from the job name and try.
-[[nodiscard]] std::int64_t backoffDelayMs(const std::string& jobName,
-                                          int tryNumber, int backoffBaseMs);
 
 /// Runs the jobs in manifest order. Never throws on job failure — every
 /// outcome is folded into the summary.

@@ -24,7 +24,6 @@ std::string eventLineJson(const ProgressEvent& event, std::int64_t seq) {
   json.key("job").value(event.job);
   json.key("state").value(event.state);
   json.key("outcome").value(event.outcome);
-  json.key("try").value(event.tryNumber);
   json.key("phase").value(event.phase);
   json.key("jobs_total").value(event.jobsTotal);
   json.key("jobs_done").value(event.jobsDone);
@@ -124,8 +123,6 @@ ProgressLine parseProgressLine(const std::string& line) {
       out.state = member.string;
     } else if (key == "outcome") {
       out.outcome = member.string;
-    } else if (key == "try") {
-      out.tryNumber = static_cast<int>(member.number);
     } else if (key == "phase") {
       out.phase = member.string;
     } else if (key == "jobs_total") {

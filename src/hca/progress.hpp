@@ -10,12 +10,12 @@
 /// Live batch progress heartbeat (`hcac --batch ... --progress-out FILE`).
 ///
 /// The batch driver appends one JSON object per line ("JSONL"): every job
-/// state transition (start, retry-wait, injected-failure, try-failed,
-/// done), a periodic heartbeat while a job runs, and batch start/end
-/// markers. Each line is self-contained and flushed before the driver
-/// proceeds, so an external monitor (or a human with `tail -f`) always
-/// sees a complete, parseable prefix of the run — and a kill mid-batch at
-/// worst truncates the final line, which the strict reader flags.
+/// state transition (start, done), a periodic heartbeat while a job runs,
+/// and batch start/end markers. Each line is self-contained and flushed
+/// before the driver proceeds, so an external monitor (or a human with
+/// `tail -f`) always sees a complete, parseable prefix of the run — and a
+/// kill mid-batch at worst truncates the final line, which the strict
+/// reader flags.
 ///
 /// Sequencing: every line carries a `seq` that is strictly increasing
 /// *across batch restarts* — the writer opens the file in append mode and
@@ -28,11 +28,9 @@
 ///   {"schema_version": 1, "seq": N, "event": "batch-start" | "job-state"
 ///      | "heartbeat" | "batch-end",
 ///    "job": "...",            // "" for batch-level events
-///    "state": "...",          // job-state: start retry-wait
-///                             //   injected-failure try-failed done;
-///                             //   done lines also set "outcome"
+///    "state": "...",          // job-state: start | done; done lines
+///                             //   also set "outcome"
 ///    "outcome": "...",        // ok failed invalid cancelled ("" otherwise)
-///    "try": N,                // 1-based try, 0 when not applicable
 ///    "phase": "...",          // human-readable per-job phase
 ///    "jobs_total": N, "jobs_done": N, "jobs_ok": N, "jobs_failed": N,
 ///    "elapsed_ms": N,
@@ -46,7 +44,6 @@ struct ProgressEvent {
   std::string job;
   std::string state;
   std::string outcome;
-  int tryNumber = 0;
   std::string phase;
   int jobsTotal = 0;
   int jobsDone = 0;

@@ -348,7 +348,12 @@ TEST(DeadlineTest, ParallelSweepHonorsDeadline) {
   ASSERT_FALSE(result.legal);
   ASSERT_NE(result.failure, nullptr);
   EXPECT_EQ(result.failure->cause, FailureCause::kDeadlineExpired);
-  EXPECT_GE(result.stats.attemptsCancelled, 1);
+  // Attempts that never started are not counted: on a loaded machine no
+  // pool worker may start one before the 10 ms deadline.
+  EXPECT_TRUE(result.stats.outerAttempts == 0 ||
+              result.stats.attemptsCancelled >= 1)
+      << "outerAttempts " << result.stats.outerAttempts
+      << " attemptsCancelled " << result.stats.attemptsCancelled;
 }
 
 TEST(DeadlineTest, StrictPolicyAlsoStopsAtDeadline) {

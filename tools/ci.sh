@@ -122,15 +122,14 @@ grep -q "resuming from" "${work}/resumed.log" || {
   cat "${work}/resumed.log"; exit 1; }
 echo "ci: kill-and-resume smoke passed"
 
-# Batch isolation: three jobs, the middle one fails every try by injection.
-# The batch must exit non-zero, retry the bad job with backoff, and still
-# compile the two good jobs.
+# Batch isolation: three jobs, the middle one on a disconnected fabric (all
+# eight input wires of root child 1 dead), so no ladder rung can map it.
+# The batch must exit non-zero and still compile the two good jobs.
 cat >"${work}/manifest.json" <<'MANIFEST'
 {"jobs": [
   {"name": "fir", "kernel": "fir2dim"},
-  {"name": "doomed", "kernel": "idcthor", "max_retries": 2,
-   "backoff_base_ms": 1, "fail_first_attempts": 3,
-   "degrade_on_last_retry": false},
+  {"name": "doomed", "kernel": "idcthor",
+   "faults": "wire:1:in wire:1:in wire:1:in wire:1:in wire:1:in wire:1:in wire:1:in wire:1:in"},
   {"name": "idct", "kernel": "idcthor"}
 ]}
 MANIFEST
@@ -150,9 +149,6 @@ grep -q '"ok":2' "${work}/summary.json" || {
   cat "${work}/summary.json"; exit 1; }
 grep -q '"failed":1' "${work}/summary.json" || {
   echo "ci: batch summary does not report the failing job"
-  cat "${work}/summary.json"; exit 1; }
-grep -q '"tries_used":3' "${work}/summary.json" || {
-  echo "ci: the failing job was not retried to exhaustion"
   cat "${work}/summary.json"; exit 1; }
 [[ -s "${work}/reports/fir.report.json" && -s "${work}/reports/idct.report.json" ]] || {
   echo "ci: per-job reports missing"; exit 1; }

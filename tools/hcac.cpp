@@ -103,11 +103,11 @@ void usage() {
       "                       problem cache and the SEE arenas; an attempt\n"
       "                       that would blow it fails cleanly and the\n"
       "                       ladder re-plans (0 = unlimited)\n"
-      "  --batch PATH         run a manifest of compile jobs with per-job\n"
-      "                       isolation, deadlines, retry with backoff and\n"
-      "                       checkpoints (see hca/batch.hpp for the JSON\n"
-      "                       schema); prints a summary JSON, exit 0 only\n"
-      "                       when every job produced a legal mapping\n"
+      "  --batch PATH         compile each job of a manifest once under the\n"
+      "                       degrade policy, with per-job isolation,\n"
+      "                       deadlines and checkpoints (JSON schema in\n"
+      "                       hca/batch.hpp); prints a summary JSON, exit 0\n"
+      "                       only when every job produced a legal mapping\n"
       "  --report-dir DIR     batch mode: write one run report per job\n"
       "                       into DIR (atomic, best-so-far on failure)\n"
       "  --progress-out FILE  batch mode: append a JSONL progress heartbeat\n"
@@ -212,10 +212,9 @@ int runBatchTool(const std::string& manifestPath, const std::string& reportDir,
   batchOptions.cancel = &shutdownToken();
   batchOptions.reportDir = reportDir;
   batchOptions.base = baseOptions;
-  batchOptions.observer = [](const core::BatchJob& job, int tryNumber,
+  batchOptions.observer = [](const core::BatchJob& job,
                              const std::string& event) {
-    std::printf("batch: %-20s try %d: %s\n", job.name.c_str(), tryNumber,
-                event.c_str());
+    std::printf("batch: %s: %s\n", job.name.c_str(), event.c_str());
     std::fflush(stdout);
   };
   const core::BatchSummary summary = core::runBatch(jobs, batchOptions);
@@ -368,9 +367,6 @@ int runTool(int argc, char** argv) {
                 "--batch is exclusive with --kernel/--file (jobs name their "
                 "own inputs)");
     core::HcaOptions base;
-    if (failurePolicy == "degrade") {
-      base.failurePolicy = core::FailurePolicy::kDegrade;
-    }
     base.maxBeamSteps = maxBeamSteps;
     base.verifyEach = verifyEach;
     base.verifyChecks = verifyChecks;
