@@ -19,7 +19,7 @@ namespace hca::core {
 namespace {
 
 constexpr const char kMagic[] = "HCACHK";
-constexpr int kVersion = 2;
+constexpr int kVersion = 3;
 
 [[noreturn]] void fail(CheckpointError::Kind kind, const std::string& message) {
   throw CheckpointError(kind, strCat("checkpoint: ", message));
@@ -339,20 +339,18 @@ std::string runFingerprint(const ddg::Ddg& ddg,
   };
   const see::SeeOptions& s = o.see;
   id << "see:" << s.beamWidth << ',' << s.candidateKeep << ','
-     << s.maxOpsPerUnit << ',' << s.enableRouteAllocator << ','
-     << s.eagerRouting << ',' << s.retryLadder << ',' << s.maxRouteHops << ','
-     << s.maxBeamSteps << ',' << s.arenaBudgetBytes << ',' << s.chainGrouping
+     << s.enableRouteAllocator << ',' << s.eagerRouting << ','
+     << s.maxRouteHops << ',' << s.maxBeamSteps << ','
+     << s.arenaBudgetBytes << ',' << s.chainGrouping
      << ',' << bits(s.weights.iiEstimate) << ',' << bits(s.weights.copyCount)
      << ',' << bits(s.weights.loadBalance) << ','
      << bits(s.weights.criticalPath) << ',' << bits(s.weights.wiringSlack)
      << ',' << s.weights.targetIi << '\n';
   // The results-invisible driver options (deadline, threads, tracing,
   // verification) are excluded — see the header contract.
-  id << "hca:" << o.leafParentMaxInNeighbors << ',' << o.maxAlternatives << ','
-     << o.backtrackBudget << ',' << o.targetIiSlack << ',' << o.searchProfiles
-     << ',' << o.degradedFallback << ',' << o.enableSubproblemCache << ','
-     << static_cast<int>(o.failurePolicy) << ',' << o.maxBeamSteps << ','
-     << o.memoryBudgetBytes << '\n';
+  id << "hca:" << o.targetIiSlack << ',' << o.searchProfiles << ','
+     << o.enableSubproblemCache << ',' << static_cast<int>(o.failurePolicy)
+     << ',' << o.maxBeamSteps << ',' << o.memoryBudgetBytes << '\n';
   return hex64(fnv1a64(id.str()));
 }
 

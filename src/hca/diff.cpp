@@ -15,6 +15,10 @@ namespace hca::core {
 
 namespace {
 
+/// Minimum matching history records before the wall gate arms (a 2-sample
+/// stddev gates on noise).
+constexpr int kMinHistoryRuns = 3;
+
 /// Everything the differ needs from one parsed report.
 struct ReportView {
   RunContext context;
@@ -235,7 +239,7 @@ ReportDiff diffReports(const JsonValue& oldReport, const JsonValue& newReport,
   const std::vector<double> wallHistory =
       wallSeries(options.history, diff.workload, diff.machine);
   diff.historyRuns = static_cast<int>(wallHistory.size());
-  if (diff.historyRuns >= options.minHistoryRuns) {
+  if (diff.historyRuns >= kMinHistoryRuns) {
     RunningStats stats;
     for (const double w : wallHistory) stats.add(w);
     diff.hasWallThreshold = true;
@@ -252,7 +256,7 @@ ReportDiff diffReports(const JsonValue& oldReport, const JsonValue& newReport,
   } else if (diff.historyRuns > 0) {
     diff.wall.note = strCat("only ", diff.historyRuns,
                             " matching history runs (need ",
-                            options.minHistoryRuns, ") — informational");
+                            kMinHistoryRuns, ") — informational");
   } else {
     diff.wall.note = "no baseline history — informational";
   }

@@ -20,8 +20,8 @@
 ///  * *Wall-clock* — inherently noisy — is compared against a
 ///    variance-aware threshold computed from the baseline history:
 ///    mean + k·stddev over the matching (workload, machine) records
-///    (k = DiffOptions::wallSigma). Without history the wall delta is
-///    reported but never gates.
+///    (k = DiffOptions::wallSigma). With fewer than 3 matching records the
+///    wall delta is reported but never gates.
 ///
 /// The verdict is emitted both as an aligned human table and as machine
 /// JSON; the CLI exits 0 (no regression) or 1 (regression), so CI can gate
@@ -68,9 +68,6 @@ struct ReportDiff {
 struct DiffOptions {
   /// k in the wall-clock gate `mean + k*stddev` over history.
   double wallSigma = 3.0;
-  /// Minimum matching history records before the wall gate arms (a
-  /// 2-sample stddev gates on noise).
-  int minHistoryRuns = 3;
   /// Baseline history (loadHistory). Empty = wall-clock is informational.
   std::vector<HistoryRecord> history;
   /// Deterministic series to exclude from the exact compare (still listed

@@ -43,6 +43,18 @@ std::string HcaFailureReport::toString() const {
 
 namespace {
 
+/// Constraint tightening for problems whose children are leaf crossbars:
+/// the in-neighbor budget of each sub-cluster is capped so the wires
+/// funneled into it stay consumable by its CNs (each CN has only
+/// `cnInWires` static selects, and intra-leaf chains consume selects too).
+constexpr int kLeafParentMaxInNeighbors = 4;
+/// Hierarchical backtracking: when a child sub-problem turns out to be
+/// infeasible, up to this many runner-up assignments from the parent's
+/// final search frontier are tried before the parent itself fails.
+constexpr int kMaxAlternatives = 12;
+/// Cap on backtracking attempts across one attempt's whole problem tree.
+constexpr int kBacktrackBudget = 256;
+
 /// A !legal HcaResult carrying a structured report (kDegrade paths).
 HcaResult failureResult(FailureCause cause, std::string message,
                         std::vector<std::string> escalations = {}) {
@@ -217,7 +229,7 @@ HcaResult HcaDriver::runAttempt(const ddg::Ddg& ddg,
 
 HcaResult HcaDriver::runSweep(const ddg::Ddg& ddg,
                               const std::vector<DdgNodeId>& rootWs,
-                              int iniMii, SubproblemCache* cache, int threads,
+                              int iniMii, SubproblemCache* cache,
                               const CancellationToken* deadline,
                               const std::string& phase,
                               const std::string& cacheScope) const {
@@ -225,6 +237,8 @@ HcaResult HcaDriver::runSweep(const ddg::Ddg& ddg,
   const int numProfiles = std::max(1, options_.searchProfiles);
   const int numTargets = 1 + std::max(0, options_.targetIiSlack);
   const int numAttempts = numTargets * numProfiles;
+  const int threads =
+      std::min(ThreadPool::effectiveThreads(options_.numThreads), numAttempts);
 
   struct AttemptSlot {
     HcaResult result;
@@ -513,15 +527,11 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
   // Rung 1 — the primary sweep: smallest target II first (the
   // modulo-scheduling II search applied to clusterization), a few
   // heuristic profiles per target, with deterministic selection.
-  const int numAttempts = (1 + std::max(0, options_.targetIiSlack)) *
-                          std::max(1, options_.searchProfiles);
-  const int threads =
-      std::min(ThreadPool::effectiveThreads(options_.numThreads), numAttempts);
   HcaResult best;
   {
     TraceSpan rung(tracer_, "hca", "rung:primary-sweep");
-    best = runSweep(ddg, rootWs, iniMii, cachePtr, threads, deadline,
-                    scope + "sweep", scope);
+    best = runSweep(ddg, rootWs, iniMii, cachePtr, deadline, scope + "sweep",
+                    scope);
   }
   best.metrics.add("ladder.rung.primary", 1);
   if (best.legal) {
@@ -542,8 +552,8 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
     // The rung shares this ladder's cache, so its attempts snapshot under
     // this ladder's scope — but under their own phase label (rungs reuse
     // attempt indices 0..N).
-    HcaResult retry = widened.runSweep(ddg, rootWs, iniMii, cachePtr, threads,
-                                       deadline, scope + "beam-backoff", scope);
+    HcaResult retry = widened.runSweep(ddg, rootWs, iniMii, cachePtr, deadline,
+                                       scope + "beam-backoff", scope);
     if (retry.legal) {
       retry.stats.merge(best.stats);
       retry.metrics.merge(best.metrics);
@@ -560,10 +570,10 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
   // produced wiring uses a subset of the real surviving wires, so the
   // result is valid (if slow) on the real fabric. Skipped when the faults
   // leave the *degraded* fabric disconnected — the real one may still be
-  // fine with its wider MUXes.
-  if (options_.degradedFallback && !expired() &&
-      (model_.config().n > 2 || model_.config().m > 2 ||
-       model_.config().k > 2)) {
+  // fine with its wider MUXes. The nested ladder runs on an N=M=K<=2
+  // fabric, so this guard stops it from recursing.
+  if (!expired() && (model_.config().n > 2 || model_.config().m > 2 ||
+                     model_.config().k > 2)) {
     machine::DspFabricConfig degradedConfig = model_.config();
     degradedConfig.n = std::min(degradedConfig.n, 2);
     degradedConfig.m = std::min(degradedConfig.m, 2);
@@ -575,7 +585,6 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
       best.metrics.add("ladder.rung.degraded_bandwidth", 1);
       TraceSpan rung(tracer_, "hca", "rung:degraded-bandwidth");
       HcaOptions degradedOptions = options_;
-      degradedOptions.degradedFallback = false;
       degradedOptions.failurePolicy = FailurePolicy::kStrict;
       degradedOptions.targetIiSlack = std::max(options_.targetIiSlack, 6);
       const HcaDriver degraded(std::move(degradedModel), degradedOptions);
@@ -694,11 +703,9 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
   // of incoming wires (Section 4.1: "the constraints must ensure that the
   // module Mapper will be able to map PG onto the Machine Model").
   const bool childrenAreLeaves = level + 1 == model_.numLevels() - 1;
-  if (childrenAreLeaves && options_.leafParentMaxInNeighbors > 0 &&
-      problem.constraints.maxInNeighbors > 0) {
-    problem.constraints.maxInNeighbors =
-        std::min(problem.constraints.maxInNeighbors,
-                 options_.leafParentMaxInNeighbors);
+  if (childrenAreLeaves && problem.constraints.maxInNeighbors > 0) {
+    problem.constraints.maxInNeighbors = std::min(
+        problem.constraints.maxInNeighbors, kLeafParentMaxInNeighbors);
   }
   problem.latency = model_.config().latency;
   problem.inWiresPerCluster = spec.inWires;
@@ -797,8 +804,7 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
   // --- Try the frontier's assignments in order; backtrack on deep failure.
   const auto clusters = record->pg.clusterNodes();
   const int numAlternatives = std::min<int>(
-      std::max(1, options_.maxAlternatives),
-      static_cast<int>(seeResult.alternatives.size()));
+      kMaxAlternatives, static_cast<int>(seeResult.alternatives.size()));
   std::string lastFailure;
   for (int alt = 0; alt < numAlternatives; ++alt) {
     if (ctx.cancel != nullptr && ctx.cancel->cancelled()) {
@@ -806,7 +812,7 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
       return false;
     }
     if (alt > 0) {
-      if (result.stats.backtrackAttempts >= options_.backtrackBudget) break;
+      if (result.stats.backtrackAttempts >= kBacktrackBudget) break;
       ++result.stats.backtrackAttempts;
       ++*lm.hcaBacktracks;
     }

@@ -73,18 +73,6 @@ struct HcaOptions {
   }
 
   see::SeeOptions see;
-  /// Constraint tightening for problems whose children are leaf crossbars:
-  /// the in-neighbor budget of each sub-cluster is capped so the wires
-  /// funneled into it stay consumable by its CNs (each CN has only
-  /// `cnInWires` static selects, and intra-leaf chains consume selects
-  /// too). <= 0 disables the tightening and uses the raw MUX capacity.
-  int leafParentMaxInNeighbors = 4;
-  /// Hierarchical backtracking: when a child sub-problem turns out to be
-  /// infeasible, up to this many runner-up assignments from the parent's
-  /// final search frontier are tried before the parent itself fails.
-  int maxAlternatives = 12;
-  /// Global cap on backtracking attempts across the whole problem tree.
-  int backtrackBudget = 256;
   /// Outer search loop: like modulo scheduling's II search, the driver
   /// first maps at the loop's iniMII and, when no legal clusterization is
   /// found, re-runs with one more cycle of target slack (which lets the
@@ -94,12 +82,6 @@ struct HcaOptions {
   /// Heuristic profiles tried per target II (chain grouping on/off, beam
   /// variants). 1 = only the configured SeeOptions.
   int searchProfiles = 5;
-  /// Last-resort fallback: when no legal clusterization is found, re-run
-  /// against a bandwidth-degraded copy of the machine (N=M=K=2). Tighter
-  /// budgets force the search into heavily packed, sparsely wired mappings
-  /// — and any mapping that fits the degraded wires trivially fits the
-  /// real ones. Trades MII for guaranteed-sound legality.
-  bool degradedFallback = true;
   /// Portfolio parallelism of the outer sweep: every (target II, profile)
   /// attempt runs as an independent task on a thread pool of this size,
   /// clamped to hardware_concurrency. 0 = hardware_concurrency; 1 runs the
@@ -272,21 +254,20 @@ class HcaDriver {
                                      const CancellationToken* cancel) const;
 
   /// The outer sweep: every (target II, profile) attempt in index order
-  /// `(target - iniMii) * profiles + profile`. At `threads` <= 1 the
-  /// attempts run in order on the calling thread; above that they are
-  /// tasks on a pool of that size. A shared horizon — the lowest index
-  /// that produced a legal result or threw — soft-cancels every later
-  /// attempt, and the first such attempt in index order decides the sweep:
-  /// its result is returned or its exception rethrown, so the outcome
-  /// never depends on the thread count. Per-attempt tokens chain to
-  /// `deadline` (may be null). `phase` is this sweep's checkpoint label and
+  /// `(target - iniMii) * profiles + profile`. With one effective thread
+  /// (`numThreads` clamped to the attempt count) the attempts run in order
+  /// on the calling thread; above that they are tasks on a pool of that
+  /// size. A shared horizon — the lowest index that produced a legal result
+  /// or threw — soft-cancels every later attempt, and the first such
+  /// attempt in index order decides the sweep: its result is returned or
+  /// its exception rethrown, so the outcome never depends on the thread
+  /// count. Per-attempt tokens chain to `deadline` (may be null). `phase` is this sweep's checkpoint label and
   /// `cacheScope` the ladder scope owning `cache` (both ignored when no
   /// checkpoint manager is configured); completed failures are recorded in
   /// completion order (the manager's lock serializes the writes).
   [[nodiscard]] HcaResult runSweep(const ddg::Ddg& ddg,
                                    const std::vector<DdgNodeId>& rootWs,
                                    int iniMii, SubproblemCache* cache,
-                                   int threads,
                                    const CancellationToken* deadline,
                                    const std::string& phase,
                                    const std::string& cacheScope) const;

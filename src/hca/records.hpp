@@ -29,7 +29,7 @@ struct HcaStats {
   /// a hit replays the recorded result of an identical solve.
   int problemsSolved = 0;
   /// Runner-up assignments tried after a child sub-problem failed, summed
-  /// over all attempts (each attempt has its own `backtrackBudget`).
+  /// over all attempts (each attempt stops backtracking after 256).
   int backtrackAttempts = 0;
   /// (target II, profile) attempts *started* across the whole run; an
   /// attempt that never started (past the winner or the deadline) is not

@@ -47,10 +47,8 @@ void appendI64(std::string& out, std::int64_t v) {
 void appendOptions(std::string& out, const see::SeeOptions& o) {
   appendI32(out, o.beamWidth);
   appendI32(out, o.candidateKeep);
-  appendI32(out, o.maxOpsPerUnit);
   appendI32(out, o.enableRouteAllocator ? 1 : 0);
   appendI32(out, o.eagerRouting ? 1 : 0);
-  appendI32(out, o.retryLadder ? 1 : 0);
   appendI32(out, o.maxRouteHops);
   appendI32(out, o.maxBeamSteps);
   // The arena ceiling aborts a search mid-flight, so a result computed

@@ -21,6 +21,10 @@ int edgeLatency(const mapper::FinalMapping& mapping,
 
 namespace {
 
+/// Scheduling budget per II attempt, in operations processed, as a
+/// multiple of the op count (Rau uses a similar budget-with-eviction).
+constexpr std::int64_t kBudgetFactor = 16;
+
 struct ReservationTable {
   int ii;
   int dmaSlots;
@@ -61,8 +65,8 @@ struct ReservationTable {
 }  // namespace
 
 ModuloResult moduloSchedule(const mapper::FinalMapping& mapping,
-                            const machine::DspFabricModel& model, int startIi,
-                            const ModuloOptions& options) {
+                            const machine::DspFabricModel& model,
+                            int startIi) {
   const auto& ddg = mapping.finalDdg;
   ModuloResult result;
 
@@ -101,7 +105,7 @@ ModuloResult moduloSchedule(const mapper::FinalMapping& mapping,
     }
   }
 
-  for (int ii = std::max(1, startIi); ii <= options.maxIi; ++ii) {
+  for (int ii = std::max(1, startIi); ii <= kMaxIi; ++ii) {
     ++result.attemptedIis;
     ReservationTable table(ii, model.config().dmaSlots, model.totalCns());
     std::vector<int> cycle(static_cast<std::size_t>(ddg.numNodes()), -1);
@@ -110,7 +114,7 @@ ModuloResult moduloSchedule(const mapper::FinalMapping& mapping,
     // Worklist in priority order; evictions re-insert.
     std::vector<DdgNodeId> worklist(priority.rbegin(), priority.rend());
     std::int64_t budget =
-        static_cast<std::int64_t>(ops.size()) * options.budgetFactor;
+        static_cast<std::int64_t>(ops.size()) * kBudgetFactor;
     bool failed = false;
 
     while (!worklist.empty()) {
@@ -212,7 +216,7 @@ ModuloResult moduloSchedule(const mapper::FinalMapping& mapping,
     result.schedule.length = length;
     return result;
   }
-  result.failureReason = strCat("no schedule up to II ", options.maxIi);
+  result.failureReason = strCat("no schedule up to II ", kMaxIi);
   return result;
 }
 

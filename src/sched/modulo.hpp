@@ -29,12 +29,8 @@ struct Schedule {
   }
 };
 
-struct ModuloOptions {
-  int maxIi = 1024;
-  /// Scheduling budget per II attempt, in operations processed, as a
-  /// multiple of the op count (Rau uses a similar budget-with-eviction).
-  int budgetFactor = 16;
-};
+/// Largest II moduloSchedule tries before it reports failure.
+inline constexpr int kMaxIi = 1024;
 
 struct ModuloResult {
   bool ok = false;
@@ -50,10 +46,10 @@ int edgeLatency(const mapper::FinalMapping& mapping,
                 const machine::DspFabricModel& model, DdgNodeId producer,
                 DdgNodeId consumer);
 
-/// Schedules the mapping starting at `startIi` (usually the final MII).
+/// Schedules the mapping starting at `startIi` (usually the final MII),
+/// trying each II up to kMaxIi.
 ModuloResult moduloSchedule(const mapper::FinalMapping& mapping,
-                            const machine::DspFabricModel& model, int startIi,
-                            const ModuloOptions& options = {});
+                            const machine::DspFabricModel& model, int startIi);
 
 /// Checks every dependence and resource constraint of `schedule`; returns
 /// a human-readable violation list (empty = valid).

@@ -72,7 +72,7 @@ class DeltaPool {
 SeeResult SpaceExplorationEngine::run(const SeeProblem& problem,
                                       const CancellationToken* cancel) const {
   SeeResult result = runOnce(problem, options_, cancel);
-  if (result.legal || !options_.retryLadder) return result;
+  if (result.legal) return result;
   if (cancel != nullptr && cancel->cancelled()) return result;
   // Diversification ladder (part of the node-filter design): a narrower,
   // route-heavier search sometimes reaches a legal corner of the space the

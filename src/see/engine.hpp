@@ -35,10 +35,14 @@ class SpaceExplorationEngine {
  public:
   explicit SpaceExplorationEngine(SeeOptions options = {});
 
-  /// Runs the beam search. When `cancel` is non-null the loop polls it at
-  /// every priority-list step and, once it flips, unwinds immediately with
-  /// an illegal result (failureReason = "cancelled"). A result with
-  /// legal == true is always a complete, cancellation-free computation.
+  /// Runs the beam search. A failed search is retried through a fixed
+  /// ladder of more conservative profiles (greedy beam, deeper routing,
+  /// flipped eager routing) before the result is reported illegal; the
+  /// counters of every rung accumulate. When `cancel` is non-null the loop
+  /// polls it at every priority-list step and, once it flips, unwinds
+  /// immediately with an illegal result (failureReason = "cancelled"). A
+  /// result with legal == true is always a complete, cancellation-free
+  /// computation.
   [[nodiscard]] SeeResult run(const SeeProblem& problem,
                               const CancellationToken* cancel = nullptr) const;
 

@@ -100,7 +100,6 @@ std::uint64_t FeasibilityOracle::directFeasibleMask(
   const PreparedProblem& prep = *prepared_;
   const auto& pg = *prep.problem().pg;
   const auto& constraints = prep.problem().constraints;
-  const auto& options = prep.options();
   const ItemGroup& group = prep.items()[groupIndex];
   std::uint64_t m = groupMask_[groupIndex];
   if (m == 0) return 0;
@@ -173,8 +172,6 @@ std::uint64_t FeasibilityOracle::directFeasibleMask(
     m &= (__builtin_popcountll(s) == 1) ? s : 0;
   };
 
-  bool needAlu = false;
-  bool needAg = false;
   for (const Item& item : group.members) {
     if (m == 0) return 0;
     if (item.kind == Item::Kind::kRelay) {
@@ -189,10 +186,6 @@ std::uint64_t FeasibilityOracle::directFeasibleMask(
       continue;
     }
     const DdgNodeId n = item.node;
-    const ddg::ResourceClass rc =
-        ddg::opResource(prep.problem().ddg->node(n).op);
-    needAlu = needAlu || rc == ddg::ResourceClass::kAlu;
-    needAg = needAg || rc == ddg::ResourceClass::kAg;
     for (const ValueId v : prep.operandValues(n)) {
       const DdgNodeId producer(v.value());
       const ClusterId loc = prep.inWorkingSet(producer)
@@ -211,24 +204,6 @@ std::uint64_t FeasibilityOracle::directFeasibleMask(
     if (out.valid()) restrictByOutputWire(out);
   }
 
-  // Functional-unit exhaustion: usage only grows mid-group, so a cluster
-  // already at its cap in the parent state fails the first member needing
-  // that unit.
-  if (options.maxOpsPerUnit > 0 && m != 0) {
-    std::uint64_t rest = m;
-    while (rest != 0) {
-      const std::uint64_t bit = rest & (~rest + 1);
-      rest ^= bit;
-      const ClusterId c(__builtin_ctzll(bit));
-      const auto& rt = pg.node(c).resources;
-      const auto& usage = state.usage(c);
-      if (usage.instructions + 1 > rt.issueSlots() * options.maxOpsPerUnit ||
-          (needAlu && usage.alu + 1 > rt.alu() * options.maxOpsPerUnit) ||
-          (needAg && usage.ag + 1 > rt.ag() * options.maxOpsPerUnit)) {
-        m &= ~bit;
-      }
-    }
-  }
   return m;
 }
 

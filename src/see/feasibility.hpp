@@ -18,8 +18,8 @@
 ///
 ///  * static facts (dead clusters, missing resource classes, missing arcs,
 ///    senders with no surviving output wire) — valid in any state;
-///  * monotone parent-state facts: in-neighbor masks only gain bits and
-///    usage only grows while a group's members are placed, and a value can
+///  * monotone parent-state facts: in-neighbor masks only gain bits while
+///    a group's members are placed, and a value can
 ///    only become delivered to a cluster through an arc from its (fixed)
 ///    location — so "budget already exhausted and the source is not an
 ///    in-neighbor yet" or "the single output-wire feeder is already chosen"

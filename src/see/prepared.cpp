@@ -183,11 +183,8 @@ PreparedProblem::PreparedProblem(const SeeProblem& problem,
       minIssue =
           std::min(minIssue, problem.pg->node(c).resources.issueSlots());
     }
-    int cap = std::max(
+    const int cap = std::max(
         2, options.weights.targetIi * std::max(minIssue, 1) / 2);
-    if (options.maxOpsPerUnit > 0) {
-      cap = std::min(cap, options.maxOpsPerUnit * std::max(minIssue, 1));
-    }
     for (const DdgNodeId n : problem.workingSet) {
       const auto& consumers = wsConsumers_[n.index()];
       if (consumers.size() != 1) continue;

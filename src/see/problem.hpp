@@ -69,9 +69,6 @@ struct SeeOptions {
   int beamWidth = 4;
   /// Candidate filter: candidates kept per (state, item).
   int candidateKeep = 4;
-  /// Hard cap on ops per functional unit of a cluster (schedulability
-  /// pruning); <= 0 disables the cap.
-  int maxOpsPerUnit = 0;
   /// Enables the route allocator as the `no candidates action`.
   bool enableRouteAllocator = true;
   /// Eager routing: also offer route-allocated assignments for clusters a
@@ -81,9 +78,6 @@ struct SeeOptions {
   /// empirically poisons the beam; the paper's design — routing as the
   /// `no candidates action` only — is the default.
   bool eagerRouting = false;
-  /// On failure, retry with progressively more conservative search
-  /// profiles (narrower beam, deeper routing) before reporting illegal.
-  bool retryLadder = true;
   /// Maximum relay hops the route allocator may insert per operand.
   int maxRouteHops = 3;
   /// Hard budget on frontier-state expansions per search attempt (each

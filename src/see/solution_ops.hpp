@@ -90,15 +90,9 @@ inline bool canAssign(const PreparedProblem& prepared,
   if (pg.node(cluster).kind != machine::PgNodeKind::kCluster) return false;
   if (pg.node(cluster).dead) return false;
   const auto& rt = pg.node(cluster).resources;
-  const auto& options = prepared.options();
 
   if (item.kind == Item::Kind::kRelay) {
-    // A relay needs an issue slot plus in/out communication patterns.
-    if (options.maxOpsPerUnit > 0 &&
-        sol.usage(cluster).instructions + 1 >
-            rt.issueSlots() * options.maxOpsPerUnit) {
-      return false;
-    }
+    // A relay needs in/out communication patterns.
     const ClusterId source = prepared.valueSource(item.value);
     const ClusterId out = prepared.outputNodeOf(item.value);
     if (!sol.valueDelivered(cluster, item.value) &&
@@ -113,20 +107,6 @@ inline bool canAssign(const PreparedProblem& prepared,
   const ddg::Op op = prepared.problem().ddg->node(n).op;
   const ddg::ResourceClass rc = ddg::opResource(op);
   if (rc != ddg::ResourceClass::kNone && rt.count(rc) == 0) return false;
-  if (options.maxOpsPerUnit > 0) {
-    const auto& usage = sol.usage(cluster);
-    if (usage.instructions + 1 > rt.issueSlots() * options.maxOpsPerUnit) {
-      return false;
-    }
-    if (rc == ddg::ResourceClass::kAlu &&
-        usage.alu + 1 > rt.alu() * options.maxOpsPerUnit) {
-      return false;
-    }
-    if (rc == ddg::ResourceClass::kAg &&
-        usage.ag + 1 > rt.ag() * options.maxOpsPerUnit) {
-      return false;
-    }
-  }
 
   // Incoming copies: every located operand source must reach `cluster`,
   // cumulatively within the in-neighbor budget.

@@ -213,40 +213,46 @@ TEST(CheckpointFormatTest, FlippedPayloadByteRejected) {
 
 TEST(CheckpointFormatTest, BadVersionRejected) {
   std::string bytes = core::serializeCheckpoint(sampleData());
-  ASSERT_EQ(bytes.rfind("HCACHK 2 ", 0), 0u);
+  ASSERT_EQ(bytes.rfind("HCACHK 3 ", 0), 0u);
   bytes[7] = '9';
   EXPECT_EQ(parseKind(bytes), CheckpointError::Kind::kBadVersion);
 }
 
 TEST(CheckpointFormatTest, VersionOneCheckpointIsBadVersionNotWrongRun) {
-  // A version-1 file (written before the route memo and dominance pruning
-  // counters and the pruning fingerprint field were removed) also carries
-  // a fingerprint this build never produces. Resuming from it must fail on
-  // the version — the real cause — before the fingerprint is compared.
-  const std::string path = tmpPath("version_one.ckpt");
-  removeFileIfExists(path);
-  (void)runWithCheckpoint(kernelNamed("fir2dim"), budgetedOptions(40), path,
-                          /*cancelAfter=*/1);
-  ASSERT_TRUE(fileExists(path));
-  const std::string current = readFile(path);
-  ASSERT_EQ(current.rfind("HCACHK 2 ", 0), 0u);
-  std::string payload = current.substr(current.find('\n') + 1);
-  const std::string fingerprintKey = "\"fingerprint\":\"";
-  const auto at = payload.find(fingerprintKey);
-  ASSERT_NE(at, std::string::npos);
-  payload.replace(at + fingerprintKey.size(), 16, "0123456789abcdef");
-  std::ostringstream old;
-  old << "HCACHK 1 " << std::hex << std::setw(16) << std::setfill('0')
-      << core::fnv1a64(payload) << std::dec << " " << payload.size() << "\n"
-      << payload;
-  atomicWriteFile(path, old.str());
+  // Files of the earlier formats also carry a fingerprint this build never
+  // produces: version 1 predates the removal of the route memo and
+  // dominance pruning counters and fingerprint field, version 2 the removal
+  // of the fixed search tuning values from the fingerprint. Resuming from
+  // either must fail on the version — the real cause — before the
+  // fingerprint is compared.
+  const std::string path = tmpPath("old_version.ckpt");
+  for (const int version : {1, 2}) {
+    SCOPED_TRACE(version);
+    removeFileIfExists(path);
+    (void)runWithCheckpoint(kernelNamed("fir2dim"), budgetedOptions(40), path,
+                            /*cancelAfter=*/1);
+    ASSERT_TRUE(fileExists(path));
+    const std::string current = readFile(path);
+    ASSERT_EQ(current.rfind("HCACHK 3 ", 0), 0u);
+    std::string payload = current.substr(current.find('\n') + 1);
+    const std::string fingerprintKey = "\"fingerprint\":\"";
+    const auto at = payload.find(fingerprintKey);
+    ASSERT_NE(at, std::string::npos);
+    payload.replace(at + fingerprintKey.size(), 16, "0123456789abcdef");
+    std::ostringstream old;
+    old << "HCACHK " << version << " " << std::hex << std::setw(16)
+        << std::setfill('0') << core::fnv1a64(payload) << std::dec << " "
+        << payload.size() << "\n"
+        << payload;
+    atomicWriteFile(path, old.str());
 
-  try {
-    (void)runWithCheckpoint(kernelNamed("fir2dim"), budgetedOptions(40),
-                            path);
-    FAIL() << "a version-1 checkpoint was accepted";
-  } catch (const CheckpointError& e) {
-    EXPECT_EQ(e.kind(), CheckpointError::Kind::kBadVersion) << e.what();
+    try {
+      (void)runWithCheckpoint(kernelNamed("fir2dim"), budgetedOptions(40),
+                              path);
+      FAIL() << "a version-" << version << " checkpoint was accepted";
+    } catch (const CheckpointError& e) {
+      EXPECT_EQ(e.kind(), CheckpointError::Kind::kBadVersion) << e.what();
+    }
   }
   removeFileIfExists(path);
 }
@@ -265,7 +271,7 @@ TEST(CheckpointFormatTest, ChecksummedGarbagePayloadRejected) {
   // validation, not crash or return defaults.
   const std::string payload = "{\"fingerprint\":12}";
   std::ostringstream os;
-  os << "HCACHK 2 " << std::hex << std::setw(16) << std::setfill('0')
+  os << "HCACHK 3 " << std::hex << std::setw(16) << std::setfill('0')
      << core::fnv1a64(payload) << std::dec << " " << payload.size() << "\n"
      << payload;
   EXPECT_EQ(parseKind(os.str()), CheckpointError::Kind::kBadPayload);
@@ -443,7 +449,6 @@ TEST(ResumeIdentityTest, ParallelSweepResumesToSameResult) {
 TEST(MemoryBudgetTest, TinyArenaBudgetFailsCleanlyNotOom) {
   HcaOptions options;
   options.memoryBudgetBytes = 2048;  // 1KB arena share: trips immediately
-  options.degradedFallback = false;
   options.targetIiSlack = 0;
   options.searchProfiles = 1;
   const HcaDriver driver(paperFabric(), options);

@@ -99,7 +99,7 @@ TEST(FailureInjectionTest, PostprocessRejectsIllegalResult) {
 }
 
 TEST(FailureInjectionTest, SchedulerReportsExhaustedIi) {
-  // maxIi = 0 can never schedule anything.
+  // Starting above kMaxIi leaves no II to try.
   ddg::DdgBuilder b;
   b.store(b.cst(0), b.cst(1));
   const auto ddg = b.finish();
@@ -108,9 +108,8 @@ TEST(FailureInjectionTest, SchedulerReportsExhaustedIi) {
   const auto hca = driver.run(ddg);
   ASSERT_TRUE(hca.legal);
   const auto mapping = core::buildFinalMapping(ddg, model, hca);
-  sched::ModuloOptions options;
-  options.maxIi = 0;
-  const auto result = sched::moduloSchedule(mapping, model, 1, options);
+  const auto result =
+      sched::moduloSchedule(mapping, model, sched::kMaxIi + 1);
   EXPECT_FALSE(result.ok);
   EXPECT_FALSE(result.failureReason.empty());
 }

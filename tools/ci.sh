@@ -23,14 +23,15 @@
 #                 paths, never on timing.
 #   5. robust   — kill-and-resume smoke (SIGTERM mid-search, then --resume
 #                 must complete legally) and a 3-job batch manifest with
-#                 one deliberately failing job (retry/backoff/isolation
-#                 must run, the summary must be non-zero-exit and still
-#                 report the two good jobs ok)
+#                 one failing job (isolation: the batch must exit non-zero
+#                 and still report the two good jobs ok)
 #   6. regress  — two-commit regression smoke: compile one Table 1 kernel
 #                 twice with --report-out/--history-out, then
 #                 `hcac --compare` must exit 0 (the search is
 #                 deterministic), and a perturbed counter must flip it to
-#                 exit 1 naming the regressed series
+#                 exit 1 naming the regressed series; then a one-job batch
+#                 with --progress-out must leave a progress log ending in
+#                 a batch-end line
 #
 # Usage: tools/ci.sh [jobs]
 set -euo pipefail
@@ -190,5 +191,22 @@ grep -q "stats.outerAttempts" "${work}/perturbed.log" || {
   echo "ci: perturbed compare did not name the regressed series"
   cat "${work}/perturbed.log"; exit 1; }
 echo "ci: regression gate smoke passed"
+
+# Progress heartbeat: a one-job batch streams its progress log, which must
+# be non-empty and end with the batch-end line.
+cat >"${work}/progress_manifest.json" <<'MANIFEST'
+{"jobs": [{"name": "fir", "kernel": "fir2dim"}]}
+MANIFEST
+"${hcac}" --batch "${work}/progress_manifest.json" \
+  --progress-out "${work}/progress.jsonl" \
+  --report-out "${work}/progress_summary.json" >"${work}/progress.log" 2>&1 || {
+    echo "ci: one-job progress batch failed"
+    cat "${work}/progress.log"; exit 1; }
+[[ -s "${work}/progress.jsonl" ]] || {
+  echo "ci: progress log missing or empty"; exit 1; }
+tail -n 1 "${work}/progress.jsonl" | grep -q '"event":"batch-end"' || {
+  echo "ci: progress log does not end with batch-end"
+  cat "${work}/progress.jsonl"; exit 1; }
+echo "ci: progress heartbeat smoke passed"
 
 echo "=== ci: all stages passed ==="
