@@ -113,8 +113,10 @@ ReportDiff diffReports(const JsonValue& oldReport, const JsonValue& newReport,
   const ReportView oldView = viewOf(oldReport, "old");
   const ReportView newView = viewOf(newReport, "new");
 
-  // Identity gate: a cross-workload or cross-schema diff is user error,
-  // not a regression verdict.
+  // Identity gate: a cross-workload, cross-machine, cross-thread-count or
+  // cross-schema diff is user error, not a regression verdict. The thread
+  // count belongs here because the portfolio's speculative attempts move
+  // the outer-attempt and cache counters with it.
   HCA_REQUIRE(oldView.context.schemaVersion == newView.context.schemaVersion,
               "compare: schema version mismatch (old "
                   << oldView.context.schemaVersion << ", new "
@@ -127,6 +129,11 @@ ReportDiff diffReports(const JsonValue& oldReport, const JsonValue& newReport,
               "compare: machine mismatch (old '" << oldView.machine
                                                  << "', new '"
                                                  << newView.machine << "')");
+  HCA_REQUIRE(oldView.threads == newView.threads,
+              "compare: thread count mismatch (old " << oldView.threads
+                                                     << ", new "
+                                                     << newView.threads
+                                                     << ")");
 
   ReportDiff diff;
   diff.workload = newView.workload;
@@ -148,9 +155,9 @@ ReportDiff diffReports(const JsonValue& oldReport, const JsonValue& newReport,
                                 newView.context.hostname,
                                 ") — wall-clock comparison is unreliable"));
   }
-  if (oldView.threads != 1 || newView.threads != 1) {
+  if (newView.threads > 1) {
     diff.notes.push_back(
-        "at least one report used a parallel outer sweep — cache and "
+        "both reports used a parallel outer sweep — cache and "
         "outer-attempt counters may legitimately differ");
   }
 

@@ -28,9 +28,9 @@
 /// a change on `hcac --compare baseline.json new.json --history FILE`.
 ///
 /// Comparability is checked first: both reports must carry a meta block
-/// (workload, machine, context) with matching schema version, workload and
-/// machine; mismatches are InvalidArgumentError (CLI exit 2), not a
-/// regression verdict.
+/// (workload, machine, threads, context) with matching schema version,
+/// workload, machine and thread count; mismatches are InvalidArgumentError
+/// (CLI exit 2), not a regression verdict.
 namespace hca::core {
 
 /// One compared series.

@@ -7,7 +7,6 @@
 #include <set>
 
 #include "baseline/flat_ica.hpp"
-#include "hca/checkpoint.hpp"
 #include "hca/verify_hook.hpp"
 #include "mapper/mapper.hpp"
 #include "support/check.hpp"
@@ -230,10 +229,7 @@ HcaResult HcaDriver::runAttempt(const ddg::Ddg& ddg,
 HcaResult HcaDriver::runSweep(const ddg::Ddg& ddg,
                               const std::vector<DdgNodeId>& rootWs,
                               int iniMii, SubproblemCache* cache,
-                              const CancellationToken* deadline,
-                              const std::string& phase,
-                              const std::string& cacheScope) const {
-  CheckpointManager* ckpt = options_.checkpoint;
+                              const CancellationToken* deadline) const {
   const int numProfiles = std::max(1, options_.searchProfiles);
   const int numTargets = 1 + std::max(0, options_.targetIiSlack);
   const int numAttempts = numTargets * numProfiles;
@@ -246,8 +242,6 @@ HcaResult HcaDriver::runSweep(const ddg::Ddg& ddg,
     /// Returned illegal with its token already cancelled: aborted
     /// mid-search, not genuinely infeasible.
     bool aborted = false;
-    /// Completed failure restored from a checkpoint (not re-run).
-    const CheckpointAttempt* restored = nullptr;
     std::exception_ptr error;
   };
   std::vector<AttemptSlot> slots(static_cast<std::size_t>(numAttempts));
@@ -279,36 +273,13 @@ HcaResult HcaDriver::runSweep(const ddg::Ddg& ddg,
     if (token.cancelled() || horizon.load(std::memory_order_acquire) < i) {
       return;
     }
-    if (ckpt != nullptr) {
-      if (const CheckpointAttempt* r = ckpt->restoredAttempt(phase, i)) {
-        // This attempt already completed (and failed) in a previous run;
-        // the SEE is deterministic and the cache was pre-warmed to the
-        // same state, so re-running it would reproduce these counters.
-        slot.restored = r;
-        return;
-      }
-    }
     const int target = iniMii + i / numProfiles;
     const int profile = i % numProfiles;
     try {
       HcaResult result =
           runAttempt(ddg, rootWs, target, profile, cache, &token);
       slot.aborted = !result.legal && token.cancelled();
-      if (result.legal) {
-        lowerHorizon(i);
-      } else if (ckpt != nullptr && !slot.aborted) {
-        // Only a genuinely completed failure is durable progress: a
-        // cancelled attempt's partial stats would poison the resume
-        // identity, so it simply re-runs.
-        CheckpointAttempt done;
-        done.phase = phase;
-        done.index = i;
-        done.target = target;
-        done.profile = profile;
-        done.failureReason = result.failureReason;
-        done.stats = result.stats;
-        ckpt->noteAttempt(std::move(done), cacheScope, cache);
-      }
+      if (result.legal) lowerHorizon(i);
       slot.result = std::move(result);
       slot.completed = true;
     } catch (...) {
@@ -348,10 +319,6 @@ HcaResult HcaDriver::runSweep(const ddg::Ddg& ddg,
   for (int i = 0; i < numAttempts; ++i) {
     const AttemptSlot& slot = slots[static_cast<std::size_t>(i)];
     if (i == winner) continue;
-    if (slot.restored != nullptr) {
-      aggregate.merge(slot.restored->stats);
-      continue;
-    }
     if (!slot.completed) continue;  // never started, or threw past the winner
     aggregate.merge(slot.result.stats);
     aggregateMetrics.merge(slot.result.metrics);
@@ -368,8 +335,7 @@ HcaResult HcaDriver::runSweep(const ddg::Ddg& ddg,
   // aggregate counters (achievedTargetIi = 0 means "none").
   int lastCompleted = -1;
   for (int i = numAttempts - 1; i >= 0; --i) {
-    if (slots[static_cast<std::size_t>(i)].completed ||
-        slots[static_cast<std::size_t>(i)].restored != nullptr) {
+    if (slots[static_cast<std::size_t>(i)].completed) {
       lastCompleted = i;
       break;
     }
@@ -377,14 +343,8 @@ HcaResult HcaDriver::runSweep(const ddg::Ddg& ddg,
   HcaResult best;
   int lastMaxWire = 0;
   if (lastCompleted >= 0) {
-    AttemptSlot& last = slots[static_cast<std::size_t>(lastCompleted)];
-    if (last.restored != nullptr) {
-      best.failureReason = last.restored->failureReason;
-      lastMaxWire = last.restored->stats.maxWirePressure;
-    } else {
-      best = std::move(last.result);
-      lastMaxWire = best.stats.maxWirePressure;
-    }
+    best = std::move(slots[static_cast<std::size_t>(lastCompleted)].result);
+    lastMaxWire = best.stats.maxWirePressure;
   } else {
     best.failureReason = "deadline expired before any outer attempt completed";
   }
@@ -454,26 +414,19 @@ HcaResult HcaDriver::runChecked(const ddg::Ddg& ddg) const {
     deadline = &deadlineToken;
   }
   if (options_.externalCancel != nullptr) {
-    // SIGINT/SIGTERM (or a batch driver's shutdown) unwinds exactly like a
-    // deadline expiry: the run stops at the next poll with best-so-far.
+    // SIGINT/SIGTERM unwinds exactly like a deadline expiry: the run stops
+    // at the next poll with best-so-far.
     deadlineToken.chainTo(options_.externalCancel);
     deadline = &deadlineToken;
   }
-  if (options_.checkpoint != nullptr) {
-    // Hard identity gate: resuming against a different DDG, machine,
-    // fault set or result-affecting option set throws kWrongRun.
-    options_.checkpoint->bindRun(runFingerprint(ddg, model_, options_),
-                                 iniMii);
-  }
   if (span.active()) span.arg("iniMii", std::to_string(iniMii));
-  return runLadder(ddg, rootWs, iniMii, deadline, /*scope=*/"");
+  return runLadder(ddg, rootWs, iniMii, deadline);
 }
 
 HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
                                const std::vector<DdgNodeId>& rootWs,
                                int iniMii,
-                               const CancellationToken* deadline,
-                               const std::string& scope) const {
+                               const CancellationToken* deadline) const {
   const bool degrade = options_.failurePolicy == FailurePolicy::kDegrade;
   const auto expired = [&] {
     return deadline != nullptr && deadline->cancelled();
@@ -493,17 +446,6 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
   SubproblemCache cache(kCacheShards, maxBytesPerShard);
   SubproblemCache* cachePtr =
       options_.enableSubproblemCache ? &cache : nullptr;
-
-  // Resume: pre-warm the cache with the checkpoint's snapshot. The first
-  // re-run attempt then observes exactly the cache state it would have had
-  // in an uninterrupted run, so hit/miss counters stay byte-identical.
-  if (options_.checkpoint != nullptr && cachePtr != nullptr) {
-    if (const auto* entries = options_.checkpoint->restoredCache(scope)) {
-      for (const auto& [key, seeResult] : *entries) {
-        cachePtr->insert(key, seeResult);
-      }
-    }
-  }
 
   // Folds the cache's per-shard counters into the returned result, both as
   // run totals and as across-shard distributions (a hot shard shows up as
@@ -530,8 +472,7 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
   HcaResult best;
   {
     TraceSpan rung(tracer_, "hca", "rung:primary-sweep");
-    best = runSweep(ddg, rootWs, iniMii, cachePtr, deadline, scope + "sweep",
-                    scope);
+    best = runSweep(ddg, rootWs, iniMii, cachePtr, deadline);
   }
   best.metrics.add("ladder.rung.primary", 1);
   if (best.legal) {
@@ -549,11 +490,8 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
     wider.see.beamWidth *= 2;
     wider.see.candidateKeep += 4;
     const HcaDriver widened(model_, wider);
-    // The rung shares this ladder's cache, so its attempts snapshot under
-    // this ladder's scope — but under their own phase label (rungs reuse
-    // attempt indices 0..N).
-    HcaResult retry = widened.runSweep(ddg, rootWs, iniMii, cachePtr, deadline,
-                                       scope + "beam-backoff", scope);
+    HcaResult retry =
+        widened.runSweep(ddg, rootWs, iniMii, cachePtr, deadline);
     if (retry.legal) {
       retry.stats.merge(best.stats);
       retry.metrics.merge(best.metrics);
@@ -588,10 +526,8 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
       degradedOptions.failurePolicy = FailurePolicy::kStrict;
       degradedOptions.targetIiSlack = std::max(options_.targetIiSlack, 6);
       const HcaDriver degraded(std::move(degradedModel), degradedOptions);
-      // The nested ladder owns a fresh cache; scope its attempts and cache
-      // snapshot so they never collide with this ladder's in the file.
-      HcaResult result = degraded.runLadder(ddg, rootWs, iniMii, deadline,
-                                            scope + "degraded-bandwidth/");
+      // The nested ladder owns a fresh cache.
+      HcaResult result = degraded.runLadder(ddg, rootWs, iniMii, deadline);
       if (result.legal) {
         result.stats.merge(best.stats);
         result.metrics.merge(best.metrics);

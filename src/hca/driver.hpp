@@ -26,8 +26,6 @@
 /// outer level) travel down as relay values and are parked on a concrete CN.
 namespace hca::core {
 
-class CheckpointManager;  // hca/checkpoint.hpp
-
 /// What the driver does when a run cannot produce a legal mapping.
 enum class FailurePolicy {
   /// Historical contract: invalid input throws, an unsolvable problem
@@ -123,19 +121,11 @@ struct HcaOptions {
   /// Restricts verifyEach to these check ids (empty = every registered
   /// check). Unknown ids throw InvalidArgumentError at the first use.
   std::vector<std::string> verifyChecks;
-  /// Crash-safe checkpoint/resume (hca/checkpoint.hpp). When non-null, the
-  /// sweeps record every completed failed outer attempt (plus the
-  /// sub-problem cache) into this manager and skip attempts it restored
-  /// from a previous run's file — the resumed run's result and HcaStats
-  /// are byte-identical to an uninterrupted run. Not owned; must outlive
-  /// the run.
-  CheckpointManager* checkpoint = nullptr;
-  /// External cancellation (SIGINT/SIGTERM, a batch driver's shutdown).
+  /// External cancellation (SIGINT/SIGTERM via support/signals.hpp).
   /// Chained underneath the run's deadline token, so tripping it unwinds
   /// the search exactly like a deadline expiry: every in-flight SEE search
   /// stops at its next poll and the run returns best-so-far. Not owned;
-  /// may be null. Deliberately excluded from the checkpoint fingerprint —
-  /// it never changes results, only when the run stops.
+  /// may be null. It never changes results, only when the run stops.
   const CancellationToken* externalCancel = nullptr;
   /// Soft memory ceiling for the run in bytes; 0 = unlimited. Half the
   /// budget bounds the sub-problem cache (oldest entries are shed, trading
@@ -261,16 +251,11 @@ class HcaDriver {
   /// or threw — soft-cancels every later attempt, and the first such
   /// attempt in index order decides the sweep: its result is returned or
   /// its exception rethrown, so the outcome never depends on the thread
-  /// count. Per-attempt tokens chain to `deadline` (may be null). `phase` is this sweep's checkpoint label and
-  /// `cacheScope` the ladder scope owning `cache` (both ignored when no
-  /// checkpoint manager is configured); completed failures are recorded in
-  /// completion order (the manager's lock serializes the writes).
+  /// count. Per-attempt tokens chain to `deadline` (may be null).
   [[nodiscard]] HcaResult runSweep(const ddg::Ddg& ddg,
                                    const std::vector<DdgNodeId>& rootWs,
                                    int iniMii, SubproblemCache* cache,
-                                   const CancellationToken* deadline,
-                                   const std::string& phase,
-                                   const std::string& cacheScope) const;
+                                   const CancellationToken* deadline) const;
 
   /// run() minus the input validation / report wrapping: computes iniMii,
   /// arms the deadline and walks the ladder.
@@ -279,15 +264,11 @@ class HcaDriver {
   /// The escalation ladder: primary sweep, then (kDegrade) a widened-beam
   /// retry, then the degraded-bandwidth re-run, then (kDegrade) flat ICA
   /// on the surviving resources. Returns the first legal result, or the
-  /// primary failure annotated with a report under kDegrade. `scope` is
-  /// the checkpoint prefix of this ladder ("" for the root one; the nested
-  /// degraded-bandwidth ladder gets its own so the two ladders' attempt
-  /// indices and cache snapshots never collide in the checkpoint file).
+  /// primary failure annotated with a report under kDegrade.
   [[nodiscard]] HcaResult runLadder(const ddg::Ddg& ddg,
                                     const std::vector<DdgNodeId>& rootWs,
                                     int iniMii,
-                                    const CancellationToken* deadline,
-                                    const std::string& scope) const;
+                                    const CancellationToken* deadline) const;
 
   /// Solves the sub-problem at `path`; returns false (and fills
   /// result.failureReason) on the first illegality.

@@ -220,16 +220,4 @@ std::vector<SubproblemCache::ShardStats> SubproblemCache::shardStats() const {
   return out;
 }
 
-void SubproblemCache::forEach(
-    const std::function<void(const std::string& key,
-                             const std::shared_ptr<const see::SeeResult>&
-                                 result)>& fn) const {
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mutex);
-    for (const std::string& key : shard.insertionOrder) {
-      fn(key, shard.map.at(key));
-    }
-  }
-}
-
 }  // namespace hca::core

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -92,17 +91,6 @@ class SubproblemCache {
   /// Snapshot of the per-shard counters, in shard order.
   [[nodiscard]] std::vector<ShardStats> shardStats() const;
 
-  /// Visits every resident entry: shards in index order, entries within a
-  /// shard in insertion order (each shard's lock is held for its pass).
-  /// The deterministic order matters to the checkpoint layer — restoring
-  /// entries in visit order reproduces the per-shard insertion order, so a
-  /// resumed run's eviction decisions match the original's. `fn` must not
-  /// reenter the cache.
-  void forEach(const std::function<void(
-                   const std::string& key,
-                   const std::shared_ptr<const see::SeeResult>& result)>& fn)
-      const;
-
   /// Approximate heap footprint of one cache entry (key + result), the
   /// unit of the byte accounting above.
   [[nodiscard]] static std::int64_t approxEntryBytes(
@@ -111,8 +99,8 @@ class SubproblemCache {
  private:
   struct Shard {
     mutable Mutex mutex;
-    /// Point lookups only; every walk (forEach, eviction) goes through
-    /// `insertionOrder` below, so hash order never reaches a result.
+    /// Point lookups only; eviction walks `insertionOrder` below, so hash
+    /// order never reaches a result.
     std::unordered_map<std::string, std::shared_ptr<const see::SeeResult>> map
         HCA_GUARDED_BY(mutex);
     /// Exactly the resident keys, in insertion order (eviction erases from

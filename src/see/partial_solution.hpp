@@ -14,8 +14,8 @@
 ///
 /// Read-only value type: the beam search runs on arena snapshots and
 /// copy-on-write deltas (see snapshot.hpp) and hands its frontier to the
-/// driver, mapper, flat-ICA rung, sub-problem cache and checkpoint
-/// serializer as PartialSolution values built by FlatSolution::toPartial.
+/// driver, mapper, flat-ICA rung and sub-problem cache as PartialSolution
+/// values built by FlatSolution::toPartial.
 namespace hca::see {
 
 class FlatSolution;
@@ -49,10 +49,6 @@ class PartialSolution {
 
  private:
   friend class FlatSolution;
-  /// Checkpoint (de)serialization (see/serialize.cpp) reconstructs the
-  /// private state field-for-field; it lives outside the class so the
-  /// search hot path never sees the JSON machinery.
-  friend struct SolutionSerializer;
 
   std::vector<ClusterId> nodeCluster_;   // per DDG node
   std::vector<ClusterId> relayCluster_;  // per relay value (problem order)

@@ -4,10 +4,10 @@
 
 #include "support/check.hpp"
 
-/// Crash-safe file I/O for the durability layer.
+/// Crash-safe file I/O.
 ///
-/// Every artifact the tool chain persists (checkpoints, run reports, traces,
-/// bench JSONs, batch summaries) goes through `atomicWriteFile`: the
+/// Every whole-file artifact the tool chain persists (run reports, traces,
+/// metrics, diff verdicts, bench JSONs) goes through `atomicWriteFile`: the
 /// contents are written to a temporary sibling, flushed to stable storage
 /// with fsync, and renamed over the destination. A reader therefore always
 /// observes either the complete old file or the complete new file — never a

@@ -8,9 +8,9 @@
 /// `CancellationToken` (an async-signal-safe atomic store). Long-running
 /// searches already poll cancellation tokens cooperatively, so chaining the
 /// run's root token to `shutdownToken()` turns Ctrl-C / kill into a clean
-/// unwind: the run returns best-so-far, the caller still writes its report
-/// and flushes its checkpoint, and the process exits through the normal
-/// exit-code contract instead of dying mid-write.
+/// unwind: the run returns best-so-far, the caller still writes its report,
+/// and the process exits through the normal exit-code contract instead of
+/// dying mid-write.
 ///
 /// A *second* SIGINT/SIGTERM force-quits immediately (_exit) for the case
 /// where the cooperative unwind itself is what the operator wants to kill.

@@ -1,23 +1,18 @@
 // Cross-run observability tests (ctest label `obs`): provenance context,
-// baseline history, differential run reports (hca/diff.hpp) and the batch
-// progress heartbeat log — including seq continuity across kill-and-resume.
+// baseline history and differential run reports (hca/diff.hpp).
 
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "ddg/kernels.hpp"
-#include "hca/batch.hpp"
 #include "hca/diff.hpp"
 #include "hca/driver.hpp"
-#include "hca/progress.hpp"
 #include "hca/report.hpp"
 #include "support/check.hpp"
 #include "support/context.hpp"
@@ -151,10 +146,11 @@ TEST(HistoryTest, SeriesSelectAndExtract) {
 /// under test control (real-driver reports are exercised separately below).
 std::string syntheticReport(const std::string& workload, double wallUs,
                             std::int64_t outerAttempts,
-                            bool includeExtraCounter = false) {
+                            bool includeExtraCounter = false,
+                            int threads = 1) {
   std::ostringstream os;
   os << "{\"workload\":\"" << workload << "\","
-     << "\"machine\":\"TestFabric[1]\",\"threads\":1,"
+     << "\"machine\":\"TestFabric[1]\",\"threads\":" << threads << ","
      << "\"context\":" << RunContext::current().toJson() << ","
      << "\"legal\":true,\"fallbackUsed\":\"\","
      << "\"stats\":{\"outerAttempts\":" << outerAttempts
@@ -206,6 +202,18 @@ TEST(DiffTest, WorkloadMismatchIsInvalidInputNotARegression) {
                    syntheticReport("fir2dim", 1000.0, 2),
                    syntheticReport("idcthor", 1000.0, 2)),
                InvalidArgumentError);
+  // A thread-count change moves the portfolio's speculative counters, so a
+  // 1-thread vs 4-thread pair is not comparable either; the error names
+  // both counts.
+  try {
+    (void)core::diffReportTexts(
+        syntheticReport("fir2dim", 1000.0, 2, false, /*threads=*/1),
+        syntheticReport("fir2dim", 1000.0, 9, false, /*threads=*/4));
+    FAIL() << "a 1-thread vs 4-thread compare was accepted";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_NE(std::string(e.what()).find("old 1, new 4"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(DiffTest, SchemaVersionMismatchStopsAtTheIdentityGate) {
@@ -319,172 +327,6 @@ TEST(DiffTest, RealDriverReportsSelfCompareClean) {
             static_cast<std::int64_t>(a.stats.outerAttempts));
   EXPECT_EQ(record.counters.count("attemptsCancelled"), 0u);
   EXPECT_DOUBLE_EQ(record.wallUs, core::runWallUs(a));
-}
-
-// --- progress heartbeat log -------------------------------------------------
-
-core::ProgressEvent heartbeatEvent(int jobsDone) {
-  core::ProgressEvent event;
-  event.event = "heartbeat";
-  event.job = "j";
-  event.phase = "compiling";
-  event.jobsTotal = 3;
-  event.jobsDone = jobsDone;
-  event.elapsedMs = 50;
-  return event;
-}
-
-std::vector<core::ProgressLine> readProgressLog(const std::string& path) {
-  std::istringstream in(readFile(path));
-  std::vector<core::ProgressLine> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty()) lines.push_back(core::parseProgressLine(line));
-  }
-  return lines;
-}
-
-TEST(ProgressLogTest, WriteParseRoundTripsAndSeqIncreases) {
-  const std::string path = tmpPath("progress_roundtrip.jsonl");
-  {
-    core::ProgressLog log(path);
-    EXPECT_FALSE(log.resumedLog());
-    log.write(heartbeatEvent(0));
-    log.write(heartbeatEvent(1));
-  }
-  const auto lines = readProgressLog(path);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0].seq, 0);
-  EXPECT_EQ(lines[1].seq, 1);
-  EXPECT_EQ(lines[1].event, "heartbeat");
-  EXPECT_EQ(lines[1].jobsDone, 1);
-  EXPECT_EQ(lines[1].etaMs, -1);  // serialized as null
-  removeFileIfExists(path);
-}
-
-TEST(ProgressLogTest, SeqContinuesAcrossReopen) {
-  const std::string path = tmpPath("progress_reopen.jsonl");
-  {
-    core::ProgressLog log(path);
-    log.write(heartbeatEvent(0));
-    log.write(heartbeatEvent(1));
-  }
-  {
-    core::ProgressLog log(path);
-    EXPECT_TRUE(log.resumedLog());
-    log.write(heartbeatEvent(2));
-  }
-  const auto lines = readProgressLog(path);
-  ASSERT_EQ(lines.size(), 3u);
-  EXPECT_EQ(lines[2].seq, 2);
-  removeFileIfExists(path);
-}
-
-TEST(ProgressLogTest, TornTailIsToleratedCorruptTailIsNot) {
-  const std::string path = tmpPath("progress_torn.jsonl");
-  {
-    core::ProgressLog log(path);
-    log.write(heartbeatEvent(0));
-  }
-  // A kill mid-write leaves a half line (no trailing newline): tolerated,
-  // appends continue after it on a fresh line's worth of seq.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "ab");
-    ASSERT_NE(f, nullptr);
-    std::fputs("{\"schema_version\":1,\"seq\":9,\"ev", f);
-    std::fclose(f);
-  }
-  {
-    core::ProgressLog log(path);
-    log.write(heartbeatEvent(1));
-  }
-  // A corrupt *complete* line means the file is not ours: refuse.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "ab");
-    ASSERT_NE(f, nullptr);
-    std::fputs("\nnot json at all\n", f);
-    std::fclose(f);
-  }
-  EXPECT_THROW(core::ProgressLog bad(path), InvalidArgumentError);
-  removeFileIfExists(path);
-}
-
-TEST(ProgressLogTest, ParseIsStrict) {
-  EXPECT_THROW((void)core::parseProgressLine("{"), InvalidArgumentError);
-  EXPECT_THROW((void)core::parseProgressLine("{\"seq\":1}"),
-               InvalidArgumentError);
-  EXPECT_THROW((void)core::parseProgressLine(
-                   "{\"schema_version\":99,\"seq\":1,\"event\":\"heartbeat\"}"),
-               InvalidArgumentError);
-  EXPECT_THROW(
-      (void)core::parseProgressLine(
-          "{\"schema_version\":1,\"seq\":1,\"event\":\"party\"}"),
-      InvalidArgumentError);
-}
-
-// --- batch integration: monotonic job-state order across kill-and-resume ----
-
-/// Asserts the invariants an external monitor relies on: strictly
-/// increasing seq across the whole file, done-counters non-decreasing
-/// within one batch run (they are per-process and restart at batch-start).
-void checkProgressInvariants(const std::vector<core::ProgressLine>& lines) {
-  std::int64_t lastSeq = -1;
-  int lastDone = 0;
-  for (const auto& line : lines) {
-    EXPECT_GT(line.seq, lastSeq);
-    lastSeq = line.seq;
-    if (line.event == "batch-start") lastDone = 0;
-    EXPECT_GE(line.jobsDone, lastDone) << "seq " << line.seq;
-    lastDone = line.jobsDone;
-    EXPECT_LE(line.jobsDone, line.jobsTotal);
-    EXPECT_LE(line.jobsOk + line.jobsFailed, line.jobsDone);
-  }
-}
-
-TEST(ProgressBatchTest, TwoBatchRunsAppendOneHonestLog) {
-  const std::string path = tmpPath("progress_batch.jsonl");
-  // Jobs that terminate without a compile: invalid input (missing DDG
-  // file) exercises the full start -> done pipeline in milliseconds.
-  std::vector<core::BatchJob> jobs;
-  for (const char* name : {"a", "b"}) {
-    core::BatchJob job;
-    job.name = name;
-    job.ddgPath = tmpPath("no_such_kernel.ddg");
-    jobs.push_back(job);
-  }
-  core::BatchOptions options;
-  options.progressPath = path;
-  options.heartbeatMs = 10'000;  // no heartbeat noise in this test
-
-  const core::BatchSummary first = core::runBatch(jobs, options);
-  EXPECT_EQ(first.invalid, 2);
-  const std::size_t firstLines = readProgressLog(path).size();
-
-  // "Resume": a second batch process appends to the same log.
-  const core::BatchSummary second = core::runBatch(jobs, options);
-  EXPECT_EQ(second.invalid, 2);
-
-  const auto lines = readProgressLog(path);
-  ASSERT_GT(lines.size(), firstLines);
-  checkProgressInvariants(lines);
-
-  // Both runs open with batch-start; the second knows it resumed the log.
-  ASSERT_EQ(lines[0].event, "batch-start");
-  EXPECT_FALSE(lines[0].resumed);
-  EXPECT_EQ(lines[firstLines].event, "batch-start");
-  EXPECT_TRUE(lines[firstLines].resumed);
-
-  // One terminal "done" line per job per run, outcome recorded.
-  int doneLines = 0;
-  for (const auto& line : lines) {
-    if (line.event == "job-state" && line.state == "done") {
-      ++doneLines;
-      EXPECT_EQ(line.outcome, "invalid");
-    }
-  }
-  EXPECT_EQ(doneLines, 4);
-  EXPECT_EQ(lines.back().event, "batch-end");
-  removeFileIfExists(path);
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
 
 #include "ddg/kernels.hpp"
 #include "verify/coherency.hpp"
 #include "hca/driver.hpp"
 #include "hca/mii.hpp"
+#include "hca/subproblem_cache.hpp"
 #include "machine/fault.hpp"
 #include "support/check.hpp"
 #include "machine/fault_inject.hpp"
@@ -370,6 +372,29 @@ TEST(DeadlineTest, StrictPolicyAlsoStopsAtDeadline) {
   EXPECT_FALSE(result.failureReason.empty());
 }
 
+TEST(DeadlineTest, ExternalCancelStopsLikeADeadline) {
+  // SIGINT/SIGTERM reach the driver as an already-tripped external token
+  // (support/signals.hpp); it unwinds the run exactly like an expired
+  // deadline, before any outer attempt starts.
+  const auto ddg = hugeDdg();
+  CancellationToken stop;
+  stop.cancel();
+  HcaOptions options;
+  options.failurePolicy = FailurePolicy::kDegrade;
+  options.externalCancel = &stop;
+  HcaResult result;
+  ASSERT_NO_THROW(result = HcaDriver(paperFabric(), options).run(ddg));
+  ASSERT_FALSE(result.legal);
+  ASSERT_NE(result.failure, nullptr);
+  EXPECT_EQ(result.failure->cause, FailureCause::kDeadlineExpired);
+  EXPECT_EQ(result.stats.outerAttempts, 0);
+
+  options.failurePolicy = FailurePolicy::kStrict;
+  ASSERT_NO_THROW(result = HcaDriver(paperFabric(), options).run(ddg));
+  EXPECT_FALSE(result.legal);
+  EXPECT_FALSE(result.failureReason.empty());
+}
+
 TEST(BeamBudgetTest, MaxBeamStepsBoundsEveryAttempt) {
   const auto kernels = ddg::table1Kernels();
   const auto& ddg = kernels[0].ddg;
@@ -386,6 +411,79 @@ TEST(BeamBudgetTest, MaxBeamStepsBoundsEveryAttempt) {
     EXPECT_EQ(result.failure->cause, FailureCause::kNoLegalMapping);
     EXPECT_FALSE(result.failure->escalationsTried.empty());
   }
+}
+
+// --- memory budgets ----------------------------------------------------------
+
+/// Verdict, placement, reconfiguration stream and the deterministic
+/// HcaStats counters of two runs match.
+void expectIdenticalRun(const HcaResult& a, const HcaResult& b) {
+  ASSERT_EQ(a.legal, b.legal) << a.failureReason << " vs " << b.failureReason;
+  EXPECT_EQ(a.failureReason, b.failureReason);
+  EXPECT_EQ(a.fallbackUsed, b.fallbackUsed);
+  EXPECT_EQ(a.assignment, b.assignment);
+  ASSERT_EQ(a.relays.size(), b.relays.size());
+  for (std::size_t i = 0; i < a.relays.size(); ++i) {
+    EXPECT_EQ(a.relays[i].value, b.relays[i].value);
+    EXPECT_EQ(a.relays[i].cn, b.relays[i].cn);
+  }
+  EXPECT_EQ(a.reconfig.toString(), b.reconfig.toString());
+  EXPECT_EQ(a.stats.problemsSolved, b.stats.problemsSolved);
+  EXPECT_EQ(a.stats.backtrackAttempts, b.stats.backtrackAttempts);
+  EXPECT_EQ(a.stats.outerAttempts, b.stats.outerAttempts);
+  EXPECT_EQ(a.stats.achievedTargetIi, b.stats.achievedTargetIi);
+  EXPECT_EQ(a.stats.statesExplored, b.stats.statesExplored);
+  EXPECT_EQ(a.stats.candidatesEvaluated, b.stats.candidatesEvaluated);
+  EXPECT_EQ(a.stats.routeInvocations, b.stats.routeInvocations);
+  EXPECT_EQ(a.stats.cacheHits, b.stats.cacheHits);
+  EXPECT_EQ(a.stats.cacheMisses, b.stats.cacheMisses);
+  EXPECT_EQ(a.stats.maxWirePressure, b.stats.maxWirePressure);
+}
+
+TEST(MemoryBudgetTest, TinyArenaBudgetFailsCleanlyNotOom) {
+  HcaOptions options;
+  options.memoryBudgetBytes = 2048;  // 1KB arena share: trips immediately
+  options.targetIiSlack = 0;
+  options.searchProfiles = 1;
+  const HcaDriver driver(paperFabric(), options);
+  const HcaResult result = driver.run(ddg::table1Kernels()[0].ddg);
+  ASSERT_FALSE(result.legal);
+  EXPECT_NE(result.failureReason.find("memory budget exceeded"),
+            std::string::npos)
+      << result.failureReason;
+}
+
+TEST(MemoryBudgetTest, AmpleBudgetIsResultInvisible) {
+  HcaOptions ample;
+  ample.memoryBudgetBytes = std::int64_t{1} << 30;
+  const HcaDriver budgeted(paperFabric(), ample);
+  const HcaDriver unbudgeted(paperFabric());
+  const auto kernels = ddg::table1Kernels();
+  const auto& ddg = kernels[0].ddg;  // fir2dim
+  expectIdenticalRun(unbudgeted.run(ddg), budgeted.run(ddg));
+}
+
+TEST(MemoryBudgetTest, CacheShedsOldestUnderByteCeiling) {
+  see::SeeResult result;
+  result.failureReason = std::string(256, 'x');
+  const std::int64_t perEntry =
+      SubproblemCache::approxEntryBytes("key-000", result);
+  // Room for about three entries in the single shard.
+  SubproblemCache cache(/*numShards=*/1,
+                        /*maxBytesPerShard=*/3 * perEntry + 16);
+  for (int i = 0; i < 8; ++i) {
+    char key[16];
+    std::snprintf(key, sizeof key, "key-%03d", i);
+    (void)cache.insert(key, result);
+  }
+  EXPECT_LE(cache.bytesUsed(), 3 * perEntry + 16);
+  EXPECT_LT(cache.entries(), 8);
+  const auto stats = cache.shardStats();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_GT(stats[0].evictions, 0);
+  // Oldest-first: the first key is gone, the last one is resident.
+  EXPECT_EQ(cache.lookup("key-000"), nullptr);
+  EXPECT_NE(cache.lookup("key-007"), nullptr);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 
 #include "ddg/kernels.hpp"
 #include "ddg/serialize.hpp"
-#include "hca/checkpoint.hpp"
 #include "hca/driver.hpp"
 #include "hca/mii.hpp"
 #include "hca/postprocess.hpp"
@@ -40,6 +39,16 @@ struct Nmk {
   int n, m, k;
 };
 constexpr Nmk kFabrics[] = {{8, 8, 8}, {8, 4, 4}, {4, 4, 2}, {2, 2, 2}};
+
+/// FNV-1a 64-bit over the digest text.
+std::uint64_t fnv1a64(const std::string& data) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : data) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
 
 std::string hex64(std::uint64_t v) {
   char buf[17];

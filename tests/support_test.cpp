@@ -9,6 +9,7 @@
 #include "support/check.hpp"
 #include "support/dot.hpp"
 #include "support/ids.hpp"
+#include "support/io.hpp"
 #include "support/json.hpp"
 #include "support/log.hpp"
 #include "support/rng.hpp"
@@ -372,6 +373,33 @@ TEST(JsonTest, RejectsDuplicateObjectKeys) {
   EXPECT_NE(error.find("duplicate object key \"x\""), std::string::npos);
   EXPECT_TRUE(parseJson(R"({"o": {"x": 1}, "p": {"x": 2}})", &doc, &error))
       << error;
+}
+
+// --- atomic I/O ------------------------------------------------------------
+
+std::string tmpPath(const std::string& name) {
+  return ::testing::TempDir() + name;
+}
+
+TEST(AtomicIoTest, WriteReadRoundTripAndOverwrite) {
+  const std::string path = tmpPath("io_roundtrip.txt");
+  atomicWriteFile(path, "first\n");
+  EXPECT_EQ(readFile(path), "first\n");
+  atomicWriteFile(path, "second, longer payload\n");
+  EXPECT_EQ(readFile(path), "second, longer payload\n");
+  EXPECT_TRUE(fileExists(path));
+  removeFileIfExists(path);
+  EXPECT_FALSE(fileExists(path));
+  removeFileIfExists(path);  // idempotent
+}
+
+TEST(AtomicIoTest, MissingFileIsTypedIoError) {
+  EXPECT_THROW(readFile(tmpPath("does_not_exist")), IoError);
+}
+
+TEST(AtomicIoTest, UnwritableDirectoryIsTypedIoError) {
+  EXPECT_THROW(atomicWriteFile("/nonexistent-dir/sub/file.json", "x"),
+               IoError);
 }
 
 }  // namespace

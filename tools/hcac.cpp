@@ -9,17 +9,16 @@
 //   hcac --file loop.ddg --n 4 --m 4 --k 4 --dot-assignment out.dot
 //   hcac --kernel fir2dim --emit-reconfig
 //   hcac --kernel fir2dim --faults "cn:3 cn:17" --failure-policy degrade
-//   hcac --kernel h264deblocking --checkpoint-out run.ckpt --resume
-//   hcac --batch manifest.json --report-dir reports/
+//   hcac --kernel h264deblocking --report-out h264.json
 //
 // Exit codes: 0 success, 1 schedule/simulation failure, 2 invalid input,
-// 3 internal error, 4 no legal mapping (or jobs failed in --batch mode),
-// 5 I/O failure writing an output artifact.
+// 3 internal error, 4 no legal mapping, 5 I/O failure writing an output
+// artifact.
 //
 // SIGINT/SIGTERM trip the run's cancellation token: the search unwinds at
-// its next poll, best-so-far artifacts (checkpoint, report, trace) are
-// still written, and the process exits through the normal code paths. A
-// second signal exits immediately.
+// its next poll, best-so-far artifacts (report, trace, metrics) are still
+// written, and the process exits through the normal code paths. A second
+// signal exits immediately.
 
 #include <algorithm>
 #include <cstdio>
@@ -33,8 +32,6 @@
 #include "ddg/serialize.hpp"
 #include "machine/fault.hpp"
 #include "verify/coherency.hpp"
-#include "hca/batch.hpp"
-#include "hca/checkpoint.hpp"
 #include "hca/diff.hpp"
 #include "hca/driver.hpp"
 #include "hca/mii.hpp"
@@ -88,35 +85,10 @@ void usage() {
       "                       trace_event JSON (chrome://tracing, perfetto)\n"
       "  --report-out PATH    write the structured run report as JSON\n"
       "  --stats              print the metrics registry after the run\n"
-      "  --checkpoint-out PATH  crash-safe checkpoint file: the outer sweep\n"
-      "                       records every completed failed attempt (plus\n"
-      "                       the sub-problem cache) so an interrupted run\n"
-      "                       can be resumed without repeating work\n"
-      "  --checkpoint-every-ms INT  throttle checkpoint writes to at most\n"
-      "                       one per interval (default 0 = every attempt)\n"
-      "  --resume             resume from --checkpoint-out; a missing file\n"
-      "                       starts fresh, a corrupt or foreign one is\n"
-      "                       invalid input (exit 2). The resumed run's\n"
-      "                       result and stats are byte-identical to an\n"
-      "                       uninterrupted run\n"
       "  --memory-budget-mb INT  soft memory ceiling: bounds the sub-\n"
       "                       problem cache and the SEE arenas; an attempt\n"
       "                       that would blow it fails cleanly and the\n"
       "                       ladder re-plans (0 = unlimited)\n"
-      "  --batch PATH         compile each job of a manifest once under the\n"
-      "                       degrade policy, with per-job isolation,\n"
-      "                       deadlines and checkpoints (JSON schema in\n"
-      "                       hca/batch.hpp); prints a summary JSON, exit 0\n"
-      "                       only when every job produced a legal mapping\n"
-      "  --report-dir DIR     batch mode: write one run report per job\n"
-      "                       into DIR (atomic, best-so-far on failure)\n"
-      "  --progress-out FILE  batch mode: append a JSONL progress heartbeat\n"
-      "                       (job state transitions, periodic heartbeat,\n"
-      "                       ETA; see hca/progress.hpp). Append-only across\n"
-      "                       kill-and-resume: seq keeps increasing\n"
-      "  --progress-tty       batch mode: also print a one-line progress\n"
-      "                       summary per heartbeat\n"
-      "  --heartbeat-ms INT   progress heartbeat period (default 1000)\n"
       "  --run-id ID          stamp ID into every report/history context\n"
       "                       block (e.g. a CI job id); never derived from\n"
       "                       the clock\n"
@@ -197,40 +169,6 @@ int runCompareTool(const std::string& oldPath, const std::string& newPath,
   return diff.regression() ? 1 : 0;
 }
 
-/// `hcac --batch`: parse the manifest, run the jobs under the shutdown
-/// token, print (and optionally write) the summary JSON.
-int runBatchTool(const std::string& manifestPath, const std::string& reportDir,
-                 const std::string& reportOut,
-                 const core::BatchOptions& batchTemplate,
-                 const core::HcaOptions& baseOptions) {
-  // A missing/unreadable manifest is bad input (exit 2), not an artifact
-  // write failure (exit 5).
-  HCA_REQUIRE(fileExists(manifestPath),
-              "batch manifest '" << manifestPath << "' does not exist");
-  const auto jobs = core::parseManifest(readFile(manifestPath));
-  core::BatchOptions batchOptions = batchTemplate;
-  batchOptions.cancel = &shutdownToken();
-  batchOptions.reportDir = reportDir;
-  batchOptions.base = baseOptions;
-  batchOptions.observer = [](const core::BatchJob& job,
-                             const std::string& event) {
-    std::printf("batch: %s: %s\n", job.name.c_str(), event.c_str());
-    std::fflush(stdout);
-  };
-  const core::BatchSummary summary = core::runBatch(jobs, batchOptions);
-  const std::string json = core::batchSummaryJson(summary);
-  std::printf("%s\n", json.c_str());
-  if (!reportOut.empty()) {
-    atomicWriteFile(reportOut, json + "\n");
-    std::printf("batch summary written to %s\n", reportOut.c_str());
-  }
-  if (shutdownSignal() != 0) {
-    std::fprintf(stderr, "hcac: batch interrupted by signal %d\n",
-                 shutdownSignal());
-  }
-  return summary.allOk() ? 0 : 4;
-}
-
 int runTool(int argc, char** argv) {
   std::string kernelName;
   std::string filePath;
@@ -248,15 +186,7 @@ int runTool(int argc, char** argv) {
   bool printStats = false;
   bool verifyEach = false;
   std::vector<std::string> verifyChecks;
-  std::string checkpointOut;
-  int checkpointEveryMs = 0;
-  bool resume = false;
   int memoryBudgetMb = 0;
-  std::string batchManifest;
-  std::string reportDir;
-  std::string progressOut;
-  bool progressTty = false;
-  int heartbeatMs = 1000;
   std::string runId;
   std::string historyOut;
   std::string metricsOut;
@@ -309,17 +239,8 @@ int runTool(int argc, char** argv) {
     else if (arg == "--trace-out") traceOut = value();
     else if (arg == "--report-out") reportOut = value();
     else if (arg == "--stats") printStats = true;
-    else if (arg == "--checkpoint-out") checkpointOut = value();
-    else if (arg == "--checkpoint-every-ms")
-      checkpointEveryMs = parseIntFlag(arg, value());
-    else if (arg == "--resume") resume = true;
     else if (arg == "--memory-budget-mb")
       memoryBudgetMb = parseIntFlag(arg, value());
-    else if (arg == "--batch") batchManifest = value();
-    else if (arg == "--report-dir") reportDir = value();
-    else if (arg == "--progress-out") progressOut = value();
-    else if (arg == "--progress-tty") progressTty = true;
-    else if (arg == "--heartbeat-ms") heartbeatMs = parseIntFlag(arg, value());
     else if (arg == "--run-id") runId = value();
     else if (arg == "--history-out") historyOut = value();
     else if (arg == "--metrics-out") metricsOut = value();
@@ -348,36 +269,17 @@ int runTool(int argc, char** argv) {
   HCA_REQUIRE(failurePolicy == "strict" || failurePolicy == "degrade",
               "--failure-policy must be 'strict' or 'degrade', got '"
                   << failurePolicy << "'");
-  HCA_REQUIRE(!resume || !checkpointOut.empty(),
-              "--resume needs --checkpoint-out (the file to resume from)");
 
   if (!compareOld.empty()) {
-    HCA_REQUIRE(kernelName.empty() && filePath.empty() &&
-                    batchManifest.empty(),
-                "--compare is exclusive with --kernel/--file/--batch (it "
-                "reads two existing reports)");
+    HCA_REQUIRE(kernelName.empty() && filePath.empty(),
+                "--compare is exclusive with --kernel/--file (it reads two "
+                "existing reports)");
     return runCompareTool(compareOld, compareNew, historyIn, wallSigma,
                           diffOut, ignoreCounters);
   }
 
   installShutdownHandlers();
 
-  if (!batchManifest.empty()) {
-    HCA_REQUIRE(kernelName.empty() && filePath.empty(),
-                "--batch is exclusive with --kernel/--file (jobs name their "
-                "own inputs)");
-    core::HcaOptions base;
-    base.maxBeamSteps = maxBeamSteps;
-    base.verifyEach = verifyEach;
-    base.verifyChecks = verifyChecks;
-    core::BatchOptions batchTemplate;
-    batchTemplate.progressPath = progressOut;
-    batchTemplate.progressTty = progressTty;
-    batchTemplate.heartbeatMs = heartbeatMs;
-    batchTemplate.runId = runId;
-    return runBatchTool(batchManifest, reportDir, reportOut, batchTemplate,
-                        base);
-  }
   if (kernelName.empty() == filePath.empty()) {
     usage();
     return 2;
@@ -437,35 +339,11 @@ int runTool(int argc, char** argv) {
   hcaOptions.memoryBudgetBytes =
       static_cast<std::int64_t>(memoryBudgetMb) * 1024 * 1024;
   hcaOptions.externalCancel = &shutdownToken();
-  std::unique_ptr<core::CheckpointManager> checkpoint;
-  if (!checkpointOut.empty()) {
-    checkpoint = std::make_unique<core::CheckpointManager>(checkpointOut,
-                                                           checkpointEveryMs);
-    if (resume && checkpoint->loadForResume()) {
-      // Corruption / wrong-run throws CheckpointError -> exit 2.
-      std::printf("resuming from %s (%d recorded attempts)\n",
-                  checkpointOut.c_str(), checkpoint->attemptsRecorded());
-    }
-    hcaOptions.checkpoint = checkpoint.get();
-  }
   Tracer tracer(/*enabled=*/!traceOut.empty());
   if (!traceOut.empty()) hcaOptions.tracer = &tracer;
   const core::HcaDriver driver(model, hcaOptions);
   const auto result = driver.run(ddg);
 
-  if (checkpoint != nullptr) {
-    if (result.legal) {
-      // A finished run has nothing to resume into.
-      removeFileIfExists(checkpoint->path());
-    } else {
-      // Persist the final state past the write throttle, so `--resume`
-      // (after a signal, deadline or plain failure) skips all completed
-      // attempts.
-      checkpoint->flush();
-      std::printf("checkpoint written to %s (%d recorded attempts)\n",
-                  checkpointOut.c_str(), checkpoint->attemptsRecorded());
-    }
-  }
   if (shutdownSignal() != 0) {
     std::fprintf(stderr,
                  "hcac: interrupted by signal %d — reporting best-so-far\n",
