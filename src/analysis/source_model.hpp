@@ -56,9 +56,10 @@ struct SourceFile {
 class SourceModel {
  public:
   /// Loads every TU in `commands` plus transitively included repo files.
-  /// `root` is the absolute repo root; include resolution tries, in order,
-  /// the includer's directory, `<root>/src`, and `<root>` — mirroring the
-  /// build's `-I` setup. Files outside `root` are ignored.
+  /// `root` is the repo root, absolute or relative to the working
+  /// directory; include resolution tries, in order, the includer's
+  /// directory, `<root>/src`, and `<root>` — mirroring the build's `-I`
+  /// setup. Files outside `root` are ignored.
   static SourceModel load(const std::string& root,
                           const std::vector<CompileCommand>& commands);
 

@@ -11,8 +11,7 @@ namespace hca::baseline {
 FlatIcaResult runFlatIca(const ddg::Ddg& ddg,
                          const machine::DspFabricModel& model,
                          const see::SeeOptions& options,
-                         const CancellationToken* cancel,
-                         HierarchyCollect* collect) {
+                         const CancellationToken* cancel) {
   HCA_REQUIRE(model.totalCns() <= 64,
               "flat ICA supports up to 64 computation nodes");
   FlatIcaResult result;
@@ -77,7 +76,7 @@ FlatIcaResult runFlatIca(const ddg::Ddg& ddg,
 
   // Post-hoc: can the MUX hierarchy actually realize this assignment?
   result.hierarchy =
-      checkHierarchyFeasibility(ddg, model, result.assignment, collect);
+      checkHierarchyFeasibility(ddg, model, result.assignment);
   result.hierarchyLegal = result.hierarchy.legal;
   if (!result.hierarchyLegal) {
     result.failureReason = "hierarchy: " + result.hierarchy.failureReason;

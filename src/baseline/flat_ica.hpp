@@ -19,6 +19,8 @@
 /// re-derives every level's copy flow and verifies the wires can carry it.
 /// The paper's claim is that this approach both explodes the search space
 /// and produces assignments the reconfigurable network cannot realize.
+/// It is a baseline for the E4 and scaling benches and the baseline tests,
+/// not a fallback of the HCA driver.
 namespace hca::baseline {
 
 struct FlatIcaResult {
@@ -34,15 +36,12 @@ struct FlatIcaResult {
   int maxCnPressure = 0;
 };
 
-/// `cancel` (optional) aborts the flat SEE search early; `collect`
-/// (optional) materializes per-level records when the hierarchy check
-/// passes — see HierarchyCollect. On a faulty model the dead CNs are
-/// excluded from the flat pattern graph, so the assignment only uses
-/// surviving resources.
+/// `cancel` (optional) aborts the flat SEE search early. On a faulty model
+/// the dead CNs are excluded from the flat pattern graph, so the assignment
+/// only uses surviving resources.
 FlatIcaResult runFlatIca(const ddg::Ddg& ddg,
                          const machine::DspFabricModel& model,
                          const see::SeeOptions& options = {},
-                         const CancellationToken* cancel = nullptr,
-                         HierarchyCollect* collect = nullptr);
+                         const CancellationToken* cancel = nullptr);
 
 }  // namespace hca::baseline

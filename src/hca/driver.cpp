@@ -6,7 +6,6 @@
 #include <exception>
 #include <set>
 
-#include "baseline/flat_ica.hpp"
 #include "hca/verify_hook.hpp"
 #include "mapper/mapper.hpp"
 #include "support/check.hpp"
@@ -134,21 +133,19 @@ see::SeeOptions HcaDriver::profileOptions(int target, int profile) const {
       seeOptions.beamWidth = seeOptions.beamWidth * 2;
       break;
   }
-  applyMemoryBudget(seeOptions);
+  if (options_.memoryBudgetBytes > 0) {
+    // Half the run budget is the cache's (see runLadder); the other half
+    // bounds each SEE solve's snapshot arenas. Per-attempt, not divided by
+    // thread count: a budget that depended on parallelism would make the
+    // result depend on the thread count.
+    const std::int64_t arenaShare =
+        std::max<std::int64_t>(1, options_.memoryBudgetBytes / 2);
+    seeOptions.arenaBudgetBytes =
+        seeOptions.arenaBudgetBytes > 0
+            ? std::min(seeOptions.arenaBudgetBytes, arenaShare)
+            : arenaShare;
+  }
   return seeOptions;
-}
-
-void HcaDriver::applyMemoryBudget(see::SeeOptions& see) const {
-  if (options_.memoryBudgetBytes <= 0) return;
-  // Half the run budget is the cache's (see runLadder); the other half
-  // bounds each SEE solve's snapshot arenas. Per-attempt, not divided by
-  // thread count: a budget that depended on parallelism would make the
-  // result depend on the thread count.
-  const std::int64_t arenaShare = std::max<std::int64_t>(
-      1, options_.memoryBudgetBytes / 2);
-  see.arenaBudgetBytes = see.arenaBudgetBytes > 0
-                             ? std::min(see.arenaBudgetBytes, arenaShare)
-                             : arenaShare;
 }
 
 HcaResult HcaDriver::runAttempt(const ddg::Ddg& ddg,
@@ -480,30 +477,7 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
     return best;
   }
 
-  // Rung 2 (kDegrade) — retry with backoff: a widened beam and deeper
-  // candidate keep explore assignments the primary profiles pruned.
-  if (degrade && !expired()) {
-    escalations.push_back("widened-beam retry (beam x2, keep +4)");
-    best.metrics.add("ladder.rung.beam_backoff", 1);
-    TraceSpan rung(tracer_, "hca", "rung:beam-backoff");
-    HcaOptions wider = options_;
-    wider.see.beamWidth *= 2;
-    wider.see.candidateKeep += 4;
-    const HcaDriver widened(model_, wider);
-    HcaResult retry =
-        widened.runSweep(ddg, rootWs, iniMii, cachePtr, deadline);
-    if (retry.legal) {
-      retry.stats.merge(best.stats);
-      retry.metrics.merge(best.metrics);
-      retry.fallbackUsed = "beam-backoff";
-      harvestCache(retry);
-      return retry;
-    }
-    best.stats.merge(retry.stats);
-    best.metrics.merge(retry.metrics);
-  }
-
-  // Rung 3 — degraded-bandwidth fallback: solve on a copy of the machine
+  // Rung 2 — degraded-bandwidth fallback: solve on a copy of the machine
   // whose MUX capacities are clamped to 2 (faults carried over). The
   // produced wiring uses a subset of the real surviving wires, so the
   // result is valid (if slow) on the real fabric. Skipped when the faults
@@ -523,7 +497,6 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
       best.metrics.add("ladder.rung.degraded_bandwidth", 1);
       TraceSpan rung(tracer_, "hca", "rung:degraded-bandwidth");
       HcaOptions degradedOptions = options_;
-      degradedOptions.failurePolicy = FailurePolicy::kStrict;
       degradedOptions.targetIiSlack = std::max(options_.targetIiSlack, 6);
       const HcaDriver degraded(std::move(degradedModel), degradedOptions);
       // The nested ladder owns a fresh cache.
@@ -537,46 +510,6 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
       }
       best.stats.merge(result.stats);
       best.metrics.merge(result.metrics);
-    }
-  }
-
-  // Rung 4 (kDegrade) — flat ICA on the surviving resources: gives up the
-  // hierarchical search entirely and accepts any assignment the post-hoc
-  // hierarchy check can realize, materialized into regular records.
-  if (degrade && !expired() && model_.totalCns() <= 64) {
-    escalations.push_back("flat ICA on surviving resources");
-    best.metrics.add("ladder.rung.flat_ica", 1);
-    TraceSpan rung(tracer_, "hca", "rung:flat-ica");
-    see::SeeOptions flatOptions = options_.see;
-    if (options_.maxBeamSteps > 0) {
-      flatOptions.maxBeamSteps = options_.maxBeamSteps;
-    }
-    applyMemoryBudget(flatOptions);
-    baseline::HierarchyCollect collect;
-    const baseline::FlatIcaResult flat =
-        baseline::runFlatIca(ddg, model_, flatOptions, deadline, &collect);
-    if (flat.assignmentLegal && flat.hierarchyLegal) {
-      HcaResult result;
-      result.legal = true;
-      result.fallbackUsed = "flat-ica";
-      result.assignment = flat.assignment;
-      result.records = std::move(collect.records);
-      result.reconfig = std::move(collect.reconfig);
-      result.reconfig.validate();
-      result.stats = best.stats;
-      result.metrics = std::move(best.metrics);
-      ++result.stats.outerAttempts;
-      result.stats.addSee(flat.seeStats);
-      result.stats.problemsSolved += flat.hierarchy.problemsChecked;
-      result.stats.maxWirePressure = flat.hierarchy.maxWirePressure;
-      result.stats.achievedTargetIi = 0;  // no target II was honored
-      // The flat rung bypasses runAttempt, so it verifies here; its
-      // materialized records satisfy the same invariants as the driver's.
-      if (options_.verifyEach) {
-        runVerifyEach(ddg, model_, options_, result, nullptr);
-      }
-      harvestCache(result);
-      return result;
     }
   }
 

@@ -26,14 +26,15 @@
 /// outer level) travel down as relay values and are parked on a concrete CN.
 namespace hca::core {
 
-/// What the driver does when a run cannot produce a legal mapping.
+/// How a run that cannot produce a legal mapping reports it. The policy
+/// never changes what is searched: both walk the same ladder and return
+/// the same result whenever one is legal.
 enum class FailurePolicy {
   /// Historical contract: invalid input throws, an unsolvable problem
   /// returns legal=false with only failureReason set.
   kStrict,
-  /// Never throw: failures become a structured HcaFailureReport, and two
-  /// extra fallback rungs (widened-beam retry, flat ICA on the surviving
-  /// resources) are tried before giving up.
+  /// Never throw: every failure comes back as legal=false with a
+  /// structured HcaFailureReport.
   kDegrade,
 };
 
@@ -93,9 +94,8 @@ struct HcaOptions {
   /// alternatives (see subproblem_cache.hpp). Results are byte-identical
   /// with the cache on or off; the cache only saves wall-clock.
   bool enableSubproblemCache = true;
-  /// See FailurePolicy. With zero faults, no deadline and a solvable
-  /// problem, kDegrade produces byte-identical output to kStrict — the
-  /// extra rungs only run after the primary sweep has already failed.
+  /// See FailurePolicy. Only the failure path differs: a legal result is
+  /// byte-identical under kStrict and kDegrade.
   FailurePolicy failurePolicy = FailurePolicy::kStrict;
   /// Wall-clock budget for the whole run in milliseconds; 0 = unlimited.
   /// On expiry every in-flight SEE search unwinds at its next cancellation
@@ -115,8 +115,8 @@ struct HcaOptions {
   /// pipeline stages: the per-record checks after every successful mapper
   /// pass, the whole-result checks after every legal attempt. A violation
   /// is a driver bug and throws InternalError (which kDegrade folds into a
-  /// kInternalError failure report). The flag propagates into the fallback
-  /// rungs, so degraded-bandwidth and flat-ICA results are verified too.
+  /// kInternalError failure report). The flag propagates into the
+  /// degraded-bandwidth rung, so its results are verified too.
   bool verifyEach = false;
   /// Restricts verifyEach to these check ids (empty = every registered
   /// check). Unknown ids throw InvalidArgumentError at the first use.
@@ -168,8 +168,8 @@ struct HcaResult {
   /// `runReportJson()` (hca/report.hpp) and printed by `hcac --stats`.
   MetricsRegistry metrics;
 
-  /// Which ladder rung produced the result: empty (primary sweep),
-  /// "beam-backoff", "degraded-bandwidth" or "flat-ica".
+  /// Which ladder rung produced the result: empty (primary sweep) or
+  /// "degraded-bandwidth".
   std::string fallbackUsed;
   /// kDegrade only: set iff !legal — the structured failure description.
   std::unique_ptr<HcaFailureReport> failure;
@@ -228,12 +228,10 @@ class HcaDriver {
     const std::vector<LevelMetrics>* levels = nullptr;
   };
 
-  /// SEE options of one (target II, heuristic profile) outer attempt.
+  /// SEE options of one (target II, heuristic profile) outer attempt, with
+  /// `memoryBudgetBytes` (when set) folded in: half the run budget becomes
+  /// the per-solve arena ceiling.
   [[nodiscard]] see::SeeOptions profileOptions(int target, int profile) const;
-
-  /// Folds `memoryBudgetBytes` (when set) into a profile's SEE options:
-  /// half the run budget becomes the per-solve arena ceiling.
-  void applyMemoryBudget(see::SeeOptions& see) const;
 
   /// Runs one complete outer attempt (a full hierarchical solve). On
   /// success the result is validated and its stats finalized.
@@ -261,10 +259,10 @@ class HcaDriver {
   /// arms the deadline and walks the ladder.
   [[nodiscard]] HcaResult runChecked(const ddg::Ddg& ddg) const;
 
-  /// The escalation ladder: primary sweep, then (kDegrade) a widened-beam
-  /// retry, then the degraded-bandwidth re-run, then (kDegrade) flat ICA
-  /// on the surviving resources. Returns the first legal result, or the
-  /// primary failure annotated with a report under kDegrade.
+  /// The escalation ladder, the same under both failure policies: primary
+  /// sweep, then the degraded-bandwidth re-run. Returns the first legal
+  /// result, or the primary failure annotated with a report under
+  /// kDegrade.
   [[nodiscard]] HcaResult runLadder(const ddg::Ddg& ddg,
                                     const std::vector<DdgNodeId>& rootWs,
                                     int iniMii,

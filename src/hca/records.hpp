@@ -91,8 +91,8 @@ struct HcaStats {
     seeOracleRejects += other.seeOracleRejects;
   }
 
-  /// Folds one SEE solve's search counters in (the sub-problem count is
-  /// the caller's: a flat-ICA solve covers many hierarchy problems).
+  /// Folds one SEE solve's search counters in (the caller counts the
+  /// sub-problem in problemsSolved).
   void addSee(const see::SeeStats& see) {
     statesExplored += see.statesExplored;
     candidatesEvaluated += see.candidatesEvaluated;

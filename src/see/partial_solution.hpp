@@ -14,7 +14,7 @@
 ///
 /// Read-only value type: the beam search runs on arena snapshots and
 /// copy-on-write deltas (see snapshot.hpp) and hands its frontier to the
-/// driver, mapper, flat-ICA rung and sub-problem cache as PartialSolution
+/// driver, mapper, flat-ICA baseline and sub-problem cache as PartialSolution
 /// values built by FlatSolution::toPartial.
 namespace hca::see {
 

@@ -253,6 +253,24 @@ TEST(DiffTest, SchemaVersionMismatchStopsAtTheIdentityGate) {
   removeFileIfExists(errPath);
 }
 
+// The DOT artifacts take the same atomic write path as the report: an
+// unwritable path is an I/O failure (exit 5), not a silent success.
+TEST(HcacTest, UnwritableDotPathIsIoFailure) {
+  const std::string badPath = ::testing::TempDir() + "no-such-dir/x.dot";
+  for (const char* flag : {"--dot-tree", "--dot-assignment"}) {
+    const std::string errPath = tmpPath("dot_write.err");
+    const std::string command =
+        strCat("'", HCA_HCAC_PATH, "' --kernel fir2dim --n 2 --m 2 --k 2 ",
+               flag, " '", badPath, "' >/dev/null 2>'", errPath, "'");
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << command;
+    EXPECT_EQ(WEXITSTATUS(status), 5) << command;
+    EXPECT_NE(readFile(errPath).find("i/o failure"), std::string::npos)
+        << readFile(errPath);
+    removeFileIfExists(errPath);
+  }
+}
+
 TEST(DiffTest, MissingMetaBlockIsInvalidInput) {
   EXPECT_THROW(
       (void)core::diffReportTexts("{\"legal\":true}",

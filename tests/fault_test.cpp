@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "ddg/kernels.hpp"
 #include "verify/coherency.hpp"
@@ -409,7 +411,18 @@ TEST(BeamBudgetTest, MaxBeamStepsBoundsEveryAttempt) {
   if (!result.legal) {
     ASSERT_NE(result.failure, nullptr);
     EXPECT_EQ(result.failure->cause, FailureCause::kNoLegalMapping);
-    EXPECT_FALSE(result.failure->escalationsTried.empty());
+    // kDegrade searches exactly what kStrict does: the primary sweep, then
+    // the degraded-bandwidth re-run, and no other rung.
+    EXPECT_EQ(result.failure->escalationsTried,
+              std::vector<std::string>{"degraded-bandwidth re-run (N=M=K=2)"});
+    EXPECT_EQ(
+        result.metrics.counterValue("ladder.rung.degraded_bandwidth"), 1);
+    for (const auto& [name, value] : result.metrics.counters()) {
+      if (name.rfind("ladder.rung.", 0) != 0) continue;
+      EXPECT_TRUE(name == "ladder.rung.primary" ||
+                  name == "ladder.rung.degraded_bandwidth")
+          << name << " = " << value;
+    }
   }
 }
 

@@ -14,13 +14,17 @@
 #include "hca/report.hpp"
 
 /// Golden corpus of the hierarchical compile: one committed record per
-/// (Table 1 kernel, failure policy, N/M/K) cell under tests/golden/, holding
-/// everything a search refactor must not move — legality and failure
+/// (Table 1 kernel, N/M/K) cell under tests/golden/, holding everything a
+/// search refactor must not move — legality and failure
 /// reason, the fallback rung, digests of the assignment/relays/reconfig
 /// stream and of the FinalMapping, the final MII, and every deterministic
 /// HcaStats counter. The sweeps are reduced (target slack 1, two search
 /// profiles; h264deblocking a single attempt before the fallback ladder)
 /// and run at one thread.
+///
+/// Every cell runs under both failure policies against the same record:
+/// the policy only decides whether a failure throws or comes back as a
+/// report, never what is searched, so both must produce the same record.
 ///
 /// On a mismatch the test prints the actual record between BEGIN/END
 /// markers. An intended behaviour change is made by reviewing that output
@@ -94,12 +98,16 @@ std::string oneLine(std::string s) {
 /// (kernel, failure policy, fabric index).
 using Param = std::tuple<int, FailurePolicy, int>;
 
-std::string recordName(const Param& p) {
+/// "_N_M_K" of a cell.
+std::string fabricSuffix(const Param& p) {
   const Nmk f = kFabrics[std::get<2>(p)];
-  return std::string(kKernelNames[std::get<0>(p)]) + "_" +
-         (std::get<1>(p) == FailurePolicy::kStrict ? "strict" : "degrade") +
-         "_" + std::to_string(f.n) + "_" + std::to_string(f.m) + "_" +
+  return "_" + std::to_string(f.n) + "_" + std::to_string(f.m) + "_" +
          std::to_string(f.k);
+}
+
+/// Record file name of a cell: kernel and N/M/K, shared by both policies.
+std::string recordName(const Param& p) {
+  return kKernelNames[std::get<0>(p)] + fabricSuffix(p);
 }
 
 /// Compiles one corpus cell and renders its record.
@@ -173,8 +181,12 @@ TEST_P(GoldenTest, MatchesRecord) {
       << actual << "----- END " << name << " -----";
 }
 
+/// Test name of a cell: kernel, policy and N/M/K.
 std::string paramName(const ::testing::TestParamInfo<Param>& info) {
-  return recordName(info.param);
+  const Param& p = info.param;
+  return std::string(kKernelNames[std::get<0>(p)]) +
+         (std::get<1>(p) == FailurePolicy::kStrict ? "_strict" : "_degrade") +
+         fabricSuffix(p);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
@@ -145,6 +146,34 @@ TEST(LintModel, ParsesCompileCommands) {
   ASSERT_EQ(commands.size(), 2u);
   EXPECT_EQ(commands[0].file, "/repo/src/see/engine.cpp");
   EXPECT_EQ(commands[1].file, "/repo/src/hca/driver.cpp");
+}
+
+TEST(LintModel, LoadsWithRelativeRoot) {
+  namespace fs = std::filesystem;
+  // A two-file repo on disk; the compile database names the TU absolutely,
+  // as CMake writes it.
+  const fs::path root = fs::absolute(::testing::TempDir()) / "lint_rel_root";
+  fs::create_directories(root / "src/see");
+  atomicWriteFile((root / "src/see/a.cpp").string(),
+                  "#include \"see/b.hpp\"\n");
+  atomicWriteFile((root / "src/see/b.hpp").string(), "#pragma once\n");
+  CompileCommand command;
+  command.directory = (root / "build").string();
+  command.file = (root / "src/see/a.cpp").string();
+
+  const auto relPaths = [](const SourceModel& model) {
+    std::vector<std::string> paths;
+    for (const SourceFile& file : model.files()) paths.push_back(file.relPath);
+    return paths;
+  };
+  const std::vector<std::string> expected = {"src/see/a.cpp",
+                                             "src/see/b.hpp"};
+  EXPECT_EQ(relPaths(SourceModel::load(root.string(), {command})), expected);
+  const fs::path relative = fs::relative(root, fs::current_path());
+  ASSERT_TRUE(relative.is_relative()) << relative;
+  EXPECT_EQ(relPaths(SourceModel::load(relative.string(), {command})),
+            expected);
+  fs::remove_all(root);
 }
 
 // ---------------------------------------------------------------------------

@@ -59,12 +59,13 @@ if [[ -s "${root}/build/compile_commands.json" ]]; then
   cmake --build "${root}/build" -j "${jobs}" --target hca_lint
   # Exit 1 here means a NEW diagnostic (stderr names the rule); known debt
   # lives in tools/lint_baseline.json. lint_report.json is the machine-
-  # readable artifact CI uploads on failure.
-  "${root}/build/tools/hca_lint" \
-    --compile-commands "${root}/build/compile_commands.json" \
-    --root "${root}" \
-    --baseline "${root}/tools/lint_baseline.json" \
-    --json "${root}/build/lint_report.json"
+  # readable artifact CI uploads on failure. Runs from the repo root with
+  # `--root .`, the form README documents.
+  (cd "${root}" && build/tools/hca_lint \
+    --compile-commands build/compile_commands.json \
+    --root . \
+    --baseline tools/lint_baseline.json \
+    --json build/lint_report.json)
   echo "ci: hca-lint clean against baseline"
 else
   echo "ci: compile_commands.json not found; skipping hca-lint"

@@ -452,13 +452,15 @@ int runTool(int argc, char** argv) {
                 result.reconfig.toString().c_str());
   }
   if (!dotTree.empty()) {
-    std::ofstream out(dotTree);
+    std::ostringstream out;
     core::problemTreeToDot(result, out);
+    atomicWriteFile(dotTree, out.str());
     std::printf("problem tree written to %s\n", dotTree.c_str());
   }
   if (!dotAssignment.empty()) {
-    std::ofstream out(dotAssignment);
+    std::ostringstream out;
     core::assignmentToDot(ddg, model, result, out);
+    atomicWriteFile(dotAssignment, out.str());
     std::printf("assignment written to %s\n", dotAssignment.c_str());
   }
 
