@@ -87,11 +87,12 @@ void onRcpRing(const ddg::Ddg& ddg) {
     return;
   }
   std::printf("   legal; placements:\n");
-  for (const DdgNodeId n : problem.workingSet) {
-    const auto& node = ddg.node(n);
+  for (std::size_t i = 0; i < problem.workingSet.size(); ++i) {
+    const auto& node = ddg.node(problem.workingSet[i]);
     std::printf("     %-6s %-8s -> %s%s\n",
                 std::string(ddg::opName(node.op)).c_str(), node.name.c_str(),
-                pg.node(result.solution.clusterOf(n)).name.c_str(),
+                pg.node(result.solution.wsCluster(static_cast<int>(i)))
+                    .name.c_str(),
                 ddg::isMemoryOp(node.op) ? "  (memory-capable PE)" : "");
   }
   std::printf("   inter-cluster copies: %d\n",

@@ -63,9 +63,9 @@ FlatIcaResult runFlatIca(const ddg::Ddg& ddg,
 
   result.assignment.assign(static_cast<std::size_t>(ddg.numNodes()),
                            CnId::invalid());
-  for (const DdgNodeId n : problem.workingSet) {
-    result.assignment[n.index()] =
-        CnId(seeResult.solution.clusterOf(n).value());
+  for (std::size_t i = 0; i < problem.workingSet.size(); ++i) {
+    result.assignment[problem.workingSet[i].index()] =
+        CnId(seeResult.solution.wsCluster(static_cast<int>(i)).value());
   }
   for (const ClusterId c : pg.clusterNodes()) {
     result.maxCnPressure =

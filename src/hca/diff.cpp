@@ -27,6 +27,8 @@ struct ReportView {
   int threads = 1;
   bool legal = false;
   std::string fallbackUsed;
+  /// records.assignmentDigest; empty when the report predates it.
+  std::string assignmentDigest;
   /// Deterministic series, keyed "stats.<name>" / "metrics.<name>".
   std::map<std::string, double> series;
   double wallUs = 0.0;
@@ -49,6 +51,34 @@ bool deterministicMetricName(const std::string& name) {
   return true;
 }
 
+/// Series a parallel outer sweep moves with thread scheduling: how many
+/// speculative attempts start before the winner's soft-cancel reaches them
+/// sets every count of outer attempts, search work, cache traffic and
+/// backtracking. The outcome (legality, rung, achieved target II, wire
+/// pressure, assignment digest) does not move.
+bool speculativeSeries(const std::string& name) {
+  static const char* const kNames[] = {
+      "stats.outerAttempts",      "stats.problemsSolved",
+      "stats.backtrackAttempts",  "stats.statesExplored",
+      "stats.candidatesEvaluated", "stats.routeInvocations",
+      "stats.cacheHits",          "stats.cacheMisses",
+      "stats.seeCopiesAvoided",   "stats.seeSnapshotsMaterialized",
+      "stats.seeArenaBytesPeak",  "stats.seeOracleRejects",
+  };
+  static const char* const kPrefixes[] = {
+      "metrics.attempt.",        "metrics.cache.",
+      "metrics.see.",            "metrics.hca.backtracks.",
+      "metrics.mapper.failures.",
+  };
+  for (const char* n : kNames) {
+    if (name == n) return true;
+  }
+  for (const char* prefix : kPrefixes) {
+    if (name.rfind(prefix, 0) == 0) return true;
+  }
+  return false;
+}
+
 ReportView viewOf(const JsonValue& report, const char* which) {
   HCA_REQUIRE(report.isObject(),
               "compare: " << which << " report is not a JSON object");
@@ -60,6 +90,11 @@ ReportView viewOf(const JsonValue& report, const char* which) {
   view.legal = member(report, "legal", which).boolean;
   const JsonValue* fallback = report.find("fallbackUsed");
   if (fallback != nullptr) view.fallbackUsed = fallback->string;
+  const JsonValue* records = report.find("records");
+  if (records != nullptr && records->isObject()) {
+    const JsonValue* digest = records->find("assignmentDigest");
+    if (digest != nullptr) view.assignmentDigest = digest->string;
+  }
 
   const JsonValue& stats = member(report, "stats", which);
   HCA_REQUIRE(stats.isObject(),
@@ -155,10 +190,15 @@ ReportDiff diffReports(const JsonValue& oldReport, const JsonValue& newReport,
                                 newView.context.hostname,
                                 ") — wall-clock comparison is unreliable"));
   }
-  if (newView.threads > 1) {
-    diff.notes.push_back(
-        "both reports used a parallel outer sweep — cache and "
-        "outer-attempt counters may legitimately differ");
+  // Same thread count above 1: the speculative search series are
+  // informational, the outcome still compares exactly.
+  const bool parallel = newView.threads > 1;
+  if (parallel) {
+    diff.notes.push_back(strCat(
+        "both reports used a ", newView.threads,
+        "-thread outer sweep — outer-attempt, cache, SEE and backtrack "
+        "series are informational; the outcome and assignment digest "
+        "compare exactly"));
   }
 
   // Outcome series first: a legality or fallback-rung change outranks any
@@ -178,6 +218,20 @@ ReportDiff diffReports(const JsonValue& oldReport, const JsonValue& newReport,
     d.regressed = true;
     d.note = strCat("'", oldView.fallbackUsed, "' -> '", newView.fallbackUsed,
                     "'");
+    diff.mismatches.push_back(std::move(d));
+  }
+
+  if (oldView.assignmentDigest.empty() != newView.assignmentDigest.empty()) {
+    diff.notes.push_back(strCat("assignment digest absent from ",
+                                oldView.assignmentDigest.empty() ? "old"
+                                                                 : "new",
+                                " report — placement not compared"));
+  } else if (oldView.assignmentDigest != newView.assignmentDigest) {
+    SeriesDiff d;
+    d.series = "records.assignmentDigest";
+    d.regressed = true;
+    d.note = strCat(oldView.assignmentDigest, " -> ",
+                    newView.assignmentDigest);
     diff.mismatches.push_back(std::move(d));
   }
 
@@ -204,17 +258,18 @@ ReportDiff diffReports(const JsonValue& oldReport, const JsonValue& newReport,
           }
           return name == pat;
         });
+    const bool speculative = parallel && speculativeSeries(name);
     const auto oldIt = oldView.series.find(name);
     const auto newIt = newView.series.find(name);
-    if (ignored) {
-      // Ignored series never gate; a differing or one-sided value is
+    if (ignored || speculative) {
+      // Informational series never gate; a differing or one-sided value is
       // surfaced as a note so the verdict stays honest.
       const double ov = oldIt != oldView.series.end() ? oldIt->second : 0.0;
       const double nv = newIt != newView.series.end() ? newIt->second : 0.0;
       if (ov != nv) {
-        diff.notes.push_back(strCat("ignored series ", name, ": ",
-                                    fmtValue(ov), " -> ",
-                                    fmtValue(nv)));
+        diff.notes.push_back(strCat(ignored ? "ignored" : "parallel-sweep",
+                                    " series ", name, ": ", fmtValue(ov),
+                                    " -> ", fmtValue(nv)));
       }
       continue;
     }

@@ -14,9 +14,13 @@
 ///
 ///  * *Deterministic counters* — the report's "stats" block minus
 ///    `attemptsCancelled`, plus every deterministic counter of the metrics
-///    registry — are compared *exactly*. The search is deterministic, so
+///    registry — are compared *exactly*, and so are legality, the fallback
+///    rung and `records.assignmentDigest`. The search is deterministic, so
 ///    any difference means the change altered search behaviour; each
-///    mismatching series is named in the verdict.
+///    mismatching series is named in the verdict. When both reports come
+///    from a parallel outer sweep (threads > 1), how far the speculative
+///    attempts got depends on scheduling, so the outer-attempt, cache, SEE
+///    and backtrack series only become notes; the outcome still gates.
 ///  * *Wall-clock* — inherently noisy — is compared against a
 ///    variance-aware threshold computed from the baseline history:
 ///    mean + k·stddev over the matching (workload, machine) records

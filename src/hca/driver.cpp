@@ -46,12 +46,10 @@ namespace {
 /// funneled into it stay consumable by its CNs (each CN has only
 /// `cnInWires` static selects, and intra-leaf chains consume selects too).
 constexpr int kLeafParentMaxInNeighbors = 4;
-/// Hierarchical backtracking: when a child sub-problem turns out to be
-/// infeasible, up to this many runner-up assignments from the parent's
-/// final search frontier are tried before the parent itself fails.
-constexpr int kMaxAlternatives = 12;
 /// Cap on backtracking attempts across one attempt's whole problem tree.
 constexpr int kBacktrackBudget = 256;
+/// Shards of each rung's sub-problem cache.
+constexpr int kCacheShards = 16;
 
 /// A !legal HcaResult carrying a structured report (kDegrade paths).
 HcaResult failureResult(FailureCause cause, std::string message,
@@ -420,6 +418,30 @@ HcaResult HcaDriver::runChecked(const ddg::Ddg& ddg) const {
   return runLadder(ddg, rootWs, iniMii, deadline);
 }
 
+HcaResult HcaDriver::runRung(
+    const ddg::Ddg& ddg, const std::vector<DdgNodeId>& rootWs, int iniMii,
+    const CancellationToken* deadline,
+    std::vector<SubproblemCache::ShardStats>* cacheShards) const {
+  if (!options_.enableSubproblemCache) {
+    return runSweep(ddg, rootWs, iniMii, nullptr, deadline);
+  }
+  // One cache per rung: the DDG (the part of a sub-problem the cache key
+  // does not serialize) is fixed for its lifetime, and no later rung can
+  // hit it, since each rung solves on its own machine. Under a memory budget
+  // half the run's bytes go to the cache, split evenly across its shards.
+  const std::int64_t maxBytesPerShard =
+      options_.memoryBudgetBytes > 0
+          ? std::max<std::int64_t>(1,
+                                   options_.memoryBudgetBytes / 2 /
+                                       kCacheShards)
+          : 0;
+  SubproblemCache cache(kCacheShards, maxBytesPerShard);
+  HcaResult result = runSweep(ddg, rootWs, iniMii, &cache, deadline);
+  const auto shards = cache.shardStats();
+  cacheShards->insert(cacheShards->begin(), shards.begin(), shards.end());
+  return result;  // the cache is freed before the next rung starts
+}
+
 HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
                                const std::vector<DdgNodeId>& rootWs,
                                int iniMii,
@@ -429,38 +451,25 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
     return deadline != nullptr && deadline->cancelled();
   };
   std::vector<std::string> escalations;
+  // Per-shard counters of every rung's cache, latest rung first (runRung
+  // frees each cache when its rung returns).
+  std::vector<SubproblemCache::ShardStats> cacheShards;
 
-  // One cache per run: the DDG (the part of a sub-problem the cache key
-  // does not serialize) is fixed for its lifetime. Under a memory budget
-  // half the run's bytes go to the cache, split evenly across its shards.
-  constexpr int kCacheShards = 16;
-  const std::int64_t maxBytesPerShard =
-      options_.memoryBudgetBytes > 0
-          ? std::max<std::int64_t>(1,
-                                   options_.memoryBudgetBytes / 2 /
-                                       kCacheShards)
-          : 0;
-  SubproblemCache cache(kCacheShards, maxBytesPerShard);
-  SubproblemCache* cachePtr =
-      options_.enableSubproblemCache ? &cache : nullptr;
-
-  // Folds the cache's per-shard counters into the returned result, both as
+  // Folds the caches' per-shard counters into the returned result, both as
   // run totals and as across-shard distributions (a hot shard shows up as
-  // a max far above the p50). Applied once per runLadder return; the
-  // nested degraded-bandwidth ladder harvests its own cache first and the
-  // counters sum.
+  // a max far above the p50). Applied once per runLadder return.
   const auto harvestCache = [&](HcaResult& r) {
-    if (cachePtr == nullptr) return;
-    const auto shards = cachePtr->shardStats();
-    for (const auto& s : shards) {
+    if (!options_.enableSubproblemCache) return;
+    for (const auto& s : cacheShards) {
       r.metrics.add("cache.hits", s.hits);
       r.metrics.add("cache.misses", s.misses);
       r.metrics.add("cache.evictions", s.evictions);
       r.metrics.add("cache.entries", s.entries);
+      r.metrics.add("cache.bytes", s.bytes);
       r.metrics.observe("cache.shard_hits", static_cast<double>(s.hits));
       r.metrics.observe("cache.shard_entries", static_cast<double>(s.entries));
     }
-    r.metrics.add("cache.shards", static_cast<std::int64_t>(shards.size()));
+    r.metrics.add("cache.shards", kCacheShards);
   };
 
   // Rung 1 — the primary sweep: smallest target II first (the
@@ -469,7 +478,7 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
   HcaResult best;
   {
     TraceSpan rung(tracer_, "hca", "rung:primary-sweep");
-    best = runSweep(ddg, rootWs, iniMii, cachePtr, deadline);
+    best = runRung(ddg, rootWs, iniMii, deadline, &cacheShards);
   }
   best.metrics.add("ladder.rung.primary", 1);
   if (best.legal) {
@@ -482,8 +491,7 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
   // produced wiring uses a subset of the real surviving wires, so the
   // result is valid (if slow) on the real fabric. Skipped when the faults
   // leave the *degraded* fabric disconnected — the real one may still be
-  // fine with its wider MUXes. The nested ladder runs on an N=M=K<=2
-  // fabric, so this guard stops it from recursing.
+  // fine with its wider MUXes.
   if (!expired() && (model_.config().n > 2 || model_.config().m > 2 ||
                      model_.config().k > 2)) {
     machine::DspFabricConfig degradedConfig = model_.config();
@@ -499,8 +507,8 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
       HcaOptions degradedOptions = options_;
       degradedOptions.targetIiSlack = std::max(options_.targetIiSlack, 6);
       const HcaDriver degraded(std::move(degradedModel), degradedOptions);
-      // The nested ladder owns a fresh cache.
-      HcaResult result = degraded.runLadder(ddg, rootWs, iniMii, deadline);
+      HcaResult result =
+          degraded.runRung(ddg, rootWs, iniMii, deadline, &cacheShards);
       if (result.legal) {
         result.stats.merge(best.stats);
         result.metrics.merge(best.metrics);
@@ -599,8 +607,9 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
   // The cache key covers everything the (deterministic) SEE result depends
   // on except the fixed DDG; see subproblem_cache.hpp. A hit replays the
   // recorded result — including its stats, so aggregate counters stay
-  // byte-identical with the cache off.
-  std::shared_ptr<const see::SeeResult> cacheEntry;
+  // byte-identical with the cache off. A fresh solve is cut down to the
+  // same ReplayRecord before use, cached or not.
+  std::shared_ptr<const ReplayRecord> cacheEntry;
   std::string cacheKey;
   if (ctx.cache != nullptr) {
     cacheKey = subproblemKey(record->pg, problem.constraints, problem.latency,
@@ -609,8 +618,8 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
                              problem.relayValues, ctx.seeOptions);
     cacheEntry = ctx.cache->lookup(cacheKey);
   }
-  see::SeeResult freshResult;
-  const see::SeeResult* seePtr = nullptr;
+  ReplayRecord fresh;
+  const ReplayRecord* seePtr = nullptr;
   const LevelMetrics& lm = (*ctx.levels)[static_cast<std::size_t>(level)];
   if (cacheEntry != nullptr) {
     ++result.stats.cacheHits;
@@ -620,26 +629,26 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
   } else {
     TraceSpan seeSpan(ctx.tracer, "hca", "see");
     const see::SpaceExplorationEngine engine(ctx.seeOptions);
-    freshResult = engine.run(problem, ctx.cancel);
+    fresh = engine.run(problem, ctx.cancel);
     if (seeSpan.active()) {
-      seeSpan.arg("states", std::to_string(freshResult.stats.statesExplored));
-      seeSpan.arg("legal", freshResult.legal ? "true" : "false");
+      seeSpan.arg("states", std::to_string(fresh.stats.statesExplored));
+      seeSpan.arg("legal", fresh.legal ? "true" : "false");
     }
     // Never cache a search aborted by cancellation: its "illegal" verdict
     // is an artifact of the abort, not a property of the sub-problem. A
     // legal result is always a complete computation and safe to cache.
-    const bool aborted = !freshResult.legal && ctx.cancel != nullptr &&
+    const bool aborted = !fresh.legal && ctx.cancel != nullptr &&
                          ctx.cancel->cancelled();
     if (ctx.cache != nullptr && !aborted) {
       ++result.stats.cacheMisses;
       ++*lm.cacheMisses;
-      cacheEntry = ctx.cache->insert(cacheKey, std::move(freshResult));
+      cacheEntry = ctx.cache->insert(cacheKey, std::move(fresh));
       seePtr = cacheEntry.get();
     } else {
-      seePtr = &freshResult;
+      seePtr = &fresh;
     }
   }
-  const see::SeeResult& seeResult = *seePtr;
+  const ReplayRecord& seeResult = *seePtr;
 
   record->seeStats = seeResult.stats;
   ++result.stats.problemsSolved;
@@ -672,8 +681,7 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
 
   // --- Try the frontier's assignments in order; backtrack on deep failure.
   const auto clusters = record->pg.clusterNodes();
-  const int numAlternatives = std::min<int>(
-      kMaxAlternatives, static_cast<int>(seeResult.alternatives.size()));
+  const int numAlternatives = static_cast<int>(seeResult.alternatives.size());
   std::string lastFailure;
   for (int alt = 0; alt < numAlternatives; ++alt) {
     if (ctx.cancel != nullptr && ctx.cancel->cancelled()) {
@@ -712,8 +720,9 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
     };
     attempt->wsChild.clear();
     attempt->wsChild.reserve(attempt->workingSet.size());
-    for (const DdgNodeId n : attempt->workingSet) {
-      attempt->wsChild.push_back(childOf(solution.clusterOf(n)));
+    for (std::size_t i = 0; i < attempt->workingSet.size(); ++i) {
+      attempt->wsChild.push_back(
+          childOf(solution.wsCluster(static_cast<int>(i))));
     }
     attempt->relayChild.clear();
     attempt->relayChild.reserve(attempt->relayValues.size());

@@ -216,7 +216,7 @@ class HcaDriver {
   };
 
   /// Per-attempt execution context threaded through the recursion: the
-  /// attempt's SEE options, the run-wide sub-problem cache (may be null),
+  /// attempt's SEE options, the rung's sub-problem cache (may be null),
   /// the portfolio's soft-cancellation token (may be null), the run's
   /// span tracer (may be null = tracing off) and the attempt's per-level
   /// metric handles (indexed by hierarchy level).
@@ -259,10 +259,20 @@ class HcaDriver {
   /// arms the deadline and walks the ladder.
   [[nodiscard]] HcaResult runChecked(const ddg::Ddg& ddg) const;
 
+  /// One ladder rung on this driver's machine: the outer sweep with a
+  /// fresh sub-problem cache (unless disabled). The cache's per-shard
+  /// counters are prepended to `cacheShards`, then the cache is freed, so
+  /// no two rungs' caches are alive at once.
+  [[nodiscard]] HcaResult runRung(
+      const ddg::Ddg& ddg, const std::vector<DdgNodeId>& rootWs, int iniMii,
+      const CancellationToken* deadline,
+      std::vector<SubproblemCache::ShardStats>* cacheShards) const;
+
   /// The escalation ladder, the same under both failure policies: primary
-  /// sweep, then the degraded-bandwidth re-run. Returns the first legal
-  /// result, or the primary failure annotated with a report under
-  /// kDegrade.
+  /// sweep, then the degraded-bandwidth re-run (a runRung on a copy of the
+  /// driver with N=M=K clamped to 2). Each rung is counted once in
+  /// `ladder.rung.*`. Returns the first legal result, or the primary
+  /// failure annotated with a report under kDegrade.
   [[nodiscard]] HcaResult runLadder(const ddg::Ddg& ddg,
                                     const std::vector<DdgNodeId>& rootWs,
                                     int iniMii,

@@ -1,5 +1,6 @@
 #include "hca/report.hpp"
 
+#include <cstdio>
 #include <sstream>
 #include <vector>
 
@@ -158,9 +159,34 @@ void writeRunReport(JsonWriter& json, const HcaResult& result,
   json.key("relays").value(static_cast<std::int64_t>(result.relays.size()));
   json.key("reconfigSettings")
       .value(static_cast<std::int64_t>(result.reconfig.settings.size()));
+  json.key("assignmentDigest").value(assignmentDigest(result));
   json.endObject();
 
   json.endObject();
+}
+
+std::string fnv1a64Hex(const std::string& data) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : data) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+std::string assignmentDigest(const HcaResult& result) {
+  std::ostringstream os;
+  for (const CnId cn : result.assignment) os << cn.value() << ',';
+  os << '|';
+  for (const RelayPlacement& relay : result.relays) {
+    os << relay.value.value() << ':' << relay.cn.value() << ',';
+  }
+  os << '|';
+  for (const std::uint64_t word : result.reconfig.encode()) os << word << ',';
+  return fnv1a64Hex(os.str());
 }
 
 std::map<std::string, std::int64_t> deterministicCounters(

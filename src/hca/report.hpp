@@ -68,6 +68,14 @@ void printRunStats(std::ostream& os, const HcaResult& result);
 [[nodiscard]] std::map<std::string, std::int64_t> deterministicCounters(
     const HcaStats& stats);
 
+/// FNV-1a 64-bit of `data` as 16 lowercase hex digits.
+[[nodiscard]] std::string fnv1a64Hex(const std::string& data);
+
+/// Digest of the run's placement, relays and encoded reconfiguration
+/// stream (the report's `records.assignmentDigest`): equal digests mean
+/// the same mapping.
+[[nodiscard]] std::string assignmentDigest(const HcaResult& result);
+
 /// Total wall-clock over the run's outer attempts in microseconds (the sum
 /// of the `attempt.wall_us` histogram; 0 when absent).
 [[nodiscard]] double runWallUs(const HcaResult& result);

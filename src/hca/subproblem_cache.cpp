@@ -1,7 +1,9 @@
 #include "hca/subproblem_cache.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
+#include <iterator>
 
 #include "support/check.hpp"
 
@@ -123,12 +125,25 @@ SubproblemCache::SubproblemCache(int numShards, std::int64_t maxBytesPerShard)
   HCA_REQUIRE(numShards >= 1, "cache needs at least one shard");
 }
 
+ReplayRecord::ReplayRecord(see::SeeResult result)
+    : legal(result.legal),
+      failureReason(std::move(result.failureReason)),
+      stats(result.stats) {
+  // A failed solve is replayed as its verdict alone.
+  if (!legal) return;
+  const std::size_t keep =
+      std::min(result.alternatives.size(), kMaxAlternatives);
+  alternatives.assign(
+      std::make_move_iterator(result.alternatives.begin()),
+      std::make_move_iterator(result.alternatives.begin() +
+                              static_cast<std::ptrdiff_t>(keep)));
+}
+
 std::int64_t SubproblemCache::approxEntryBytes(const std::string& key,
-                                               const see::SeeResult& result) {
+                                               const ReplayRecord& record) {
   std::int64_t bytes = static_cast<std::int64_t>(
-      sizeof(see::SeeResult) + key.size() + result.failureReason.size());
-  bytes += static_cast<std::int64_t>(result.solution.approxBytes());
-  for (const see::PartialSolution& alt : result.alternatives) {
+      sizeof(ReplayRecord) + key.size() + record.failureReason.size());
+  for (const see::PartialSolution& alt : record.alternatives) {
     bytes += static_cast<std::int64_t>(alt.approxBytes());
   }
   return bytes;
@@ -139,7 +154,7 @@ SubproblemCache::Shard& SubproblemCache::shardOf(const std::string& key) const {
   return shards_[h % shards_.size()];
 }
 
-std::shared_ptr<const see::SeeResult> SubproblemCache::lookup(
+std::shared_ptr<const ReplayRecord> SubproblemCache::lookup(
     const std::string& key) const {
   Shard& shard = shardOf(key);
   MutexLock lock(shard.mutex);
@@ -152,9 +167,9 @@ std::shared_ptr<const see::SeeResult> SubproblemCache::lookup(
   return it->second;
 }
 
-std::shared_ptr<const see::SeeResult> SubproblemCache::insert(
-    const std::string& key, see::SeeResult result) {
-  auto entry = std::make_shared<const see::SeeResult>(std::move(result));
+std::shared_ptr<const ReplayRecord> SubproblemCache::insert(
+    const std::string& key, ReplayRecord record) {
+  auto entry = std::make_shared<const ReplayRecord>(std::move(record));
   Shard& shard = shardOf(key);
   MutexLock lock(shard.mutex);
   const auto [it, inserted] = shard.map.emplace(key, std::move(entry));

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -13,7 +14,8 @@
 #include "support/mutex.hpp"
 #include "support/thread_annotations.hpp"
 
-/// Memoization of single-level SEE sub-problems (one HcaDriver::run).
+/// Memoization of single-level SEE sub-problems (one ladder rung of an
+/// HcaDriver::run; the rung frees its cache when it returns).
 ///
 /// The outer portfolio search re-solves the same 4-ish-node sub-problems
 /// over and over: backtracking alternatives re-enter identical children,
@@ -30,7 +32,36 @@
 /// The problem path is deliberately *not* part of the key: identical
 /// sub-problems at different positions of the problem tree (or in different
 /// outer attempts) share one entry.
+///
+/// An entry is a ReplayRecord: exactly what the driver reads back of a
+/// solve (verdict, failure reason, SeeStats and the first kMaxAlternatives
+/// frontier states), each state a sub-problem-sized PartialSolution. A
+/// fresh solve goes through the same record before the driver uses it, so
+/// a hit and a miss run one code path.
 namespace hca::core {
+
+/// Hierarchical backtracking depth: when a child sub-problem turns out to
+/// be infeasible, the driver tries up to this many assignments of the
+/// parent's final search frontier (best first) before the parent itself
+/// fails. A ReplayRecord keeps no more than that.
+inline constexpr std::size_t kMaxAlternatives = 12;
+
+/// What the driver replays of one SEE solve, and all a cache entry holds.
+struct ReplayRecord {
+  bool legal = false;
+  std::string failureReason;
+  see::SeeStats stats;
+  /// The first kMaxAlternatives states of the final frontier, best first;
+  /// empty when the solve failed.
+  std::vector<see::PartialSolution> alternatives;
+
+  ReplayRecord() = default;
+  /// Keeps what replay reads of `result` and drops the rest: the
+  /// duplicate `solution`, the failed partial, `failedItem` and the
+  /// frontier tail past kMaxAlternatives. Implicit, so a SeeResult is
+  /// accepted wherever a record is.
+  ReplayRecord(see::SeeResult result);  // NOLINT(google-explicit-constructor)
+};
 
 /// Serializes everything the SEE result depends on, except the DDG itself
 /// (fixed for the lifetime of one cache) and the problem path (irrelevant
@@ -61,7 +92,7 @@ class SubproblemCache {
   /// `maxBytesPerShard` <= 0 = unbounded (the default — one run's
   /// sub-problem population is small). When set, every insert updates the
   /// shard's approximate byte tally (key plus an estimate of the
-  /// SeeResult's vectors) and sheds oldest-inserted entries until the shard
+  /// record's vectors) and sheds oldest-inserted entries until the shard
   /// is back under its ceiling, counting each in ShardStats::evictions —
   /// the cache half of the driver's `HcaOptions::memoryBudgetBytes`
   /// contract: degrade hit rate, never OOM. Correctness is unaffected
@@ -72,16 +103,16 @@ class SubproblemCache {
   SubproblemCache(const SubproblemCache&) = delete;
   SubproblemCache& operator=(const SubproblemCache&) = delete;
 
-  /// Returns the cached result for `key`, or nullptr on a miss.
-  [[nodiscard]] std::shared_ptr<const see::SeeResult> lookup(
+  /// Returns the cached record for `key`, or nullptr on a miss.
+  [[nodiscard]] std::shared_ptr<const ReplayRecord> lookup(
       const std::string& key) const;
 
-  /// Inserts `result` if the key is absent and returns the stored entry
+  /// Inserts `record` if the key is absent and returns the stored entry
   /// (the first writer wins, so concurrent attempts all observe the same
   /// object — with a deterministic SEE both candidates are identical
   /// anyway).
-  std::shared_ptr<const see::SeeResult> insert(const std::string& key,
-                                               see::SeeResult result);
+  std::shared_ptr<const ReplayRecord> insert(const std::string& key,
+                                             ReplayRecord record);
 
   [[nodiscard]] std::int64_t entries() const;
 
@@ -91,17 +122,17 @@ class SubproblemCache {
   /// Snapshot of the per-shard counters, in shard order.
   [[nodiscard]] std::vector<ShardStats> shardStats() const;
 
-  /// Approximate heap footprint of one cache entry (key + result), the
+  /// Approximate heap footprint of one cache entry (key + record), the
   /// unit of the byte accounting above.
   [[nodiscard]] static std::int64_t approxEntryBytes(
-      const std::string& key, const see::SeeResult& result);
+      const std::string& key, const ReplayRecord& record);
 
  private:
   struct Shard {
     mutable Mutex mutex;
     /// Point lookups only; eviction walks `insertionOrder` below, so hash
     /// order never reaches a result.
-    std::unordered_map<std::string, std::shared_ptr<const see::SeeResult>> map
+    std::unordered_map<std::string, std::shared_ptr<const ReplayRecord>> map
         HCA_GUARDED_BY(mutex);
     /// Exactly the resident keys, in insertion order (eviction erases from
     /// both containers).

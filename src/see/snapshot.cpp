@@ -212,18 +212,15 @@ const FlatSolution* FlatSolution::fromDelta(const DeltaSolution& delta,
 void FlatSolution::toPartial(const PreparedProblem& prepared,
                              PartialSolution* out) const {
   const auto& pg = *prepared.problem().pg;
-  out->nodeCluster_.assign(nodeCluster_, nodeCluster_ + numNodes_);
+  const auto& ws = prepared.problem().workingSet;
+  out->wsCluster_.resize(ws.size());
+  for (std::size_t i = 0; i < ws.size(); ++i) {
+    out->wsCluster_[i] = nodeCluster_[ws[i].index()];
+  }
   out->relayCluster_.assign(relayCluster_, relayCluster_ + numRelays_);
   out->usage_.assign(usage_, usage_ + numPg_);
-  out->inNbrMask_.assign(inNbrMask_, inNbrMask_ + numPg_);
-  out->inValues_.assign(static_cast<std::size_t>(numPg_), {});
-  out->outValues_.assign(static_cast<std::size_t>(numPg_), {});
-  for (std::int32_t i = 0; i < numPg_; ++i) {
-    out->inValues_[static_cast<std::size_t>(i)].assign(
-        inVals_ + inOff_[i], inVals_ + inOff_[i + 1]);
-    out->outValues_[static_cast<std::size_t>(i)].assign(
-        outVals_ + outOff_[i], outVals_ + outOff_[i + 1]);
-  }
+  out->valuesIn_.assign(inCount_, inCount_ + numPg_);
+  out->valuesOut_.assign(outCount_, outCount_ + numPg_);
   out->flow_ = machine::CopyFlow(pg);
   for (std::int32_t a = 0; a < numArcs_; ++a) {
     for (std::int32_t j = flowOff_[a]; j < flowOff_[a + 1]; ++j) {
@@ -254,6 +251,7 @@ bool FlatSolution::flowContains(PgArcId arc, ValueId v) const {
 
 void DeltaSolution::init(const PreparedProblem& prepared) {
   const auto& pg = *prepared.problem().pg;
+  workingSet_ = &prepared.problem().workingSet;
   nodeCluster_.resize(
       static_cast<std::size_t>(prepared.problem().ddg->numNodes()));
   relayCluster_.resize(prepared.problem().relayValues.size());
@@ -343,14 +341,10 @@ bool DeltaSolution::addFlowCopy(PgArcId arc, ClusterId src, ClusterId dst,
 }
 
 std::uint64_t DeltaSolution::signature() const {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a
-  const auto mix = [&](std::int32_t v) {
-    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(v));
-    h *= 1099511628211ULL;
-  };
-  for (const ClusterId c : nodeCluster_) mix(c.value());
-  for (const ClusterId c : relayCluster_) mix(c.value());
-  return h;
+  ClusterHash h;
+  for (const DdgNodeId n : *workingSet_) h.mix(nodeCluster_[n.index()]);
+  for (const ClusterId c : relayCluster_) h.mix(c);
+  return h.value();
 }
 
 double DeltaSolution::criticalPathScore(const PreparedProblem& prepared) {

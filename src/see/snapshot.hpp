@@ -49,8 +49,9 @@ class FlatSolution {
   static const FlatSolution* fromDelta(const DeltaSolution& delta,
                                        MonotonicArena& arena);
   /// Copies the snapshot into the result record handed across the engine
-  /// boundary (SeeResult / driver / mapper): same list contents, same
-  /// order.
+  /// boundary (SeeResult / driver / mapper): clusters re-indexed by
+  /// working-set position, per-PG-node value lists reduced to their
+  /// counts, flow lists in the same order.
   void toPartial(const PreparedProblem& prepared, PartialSolution* out) const;
 
   [[nodiscard]] ClusterId clusterOf(DdgNodeId node) const {
@@ -150,7 +151,8 @@ class DeltaSolution {
   [[nodiscard]] int assignedCount() const { return assigned_; }
   [[nodiscard]] double objective() const { return objective_; }
   void setObjective(double value) { objective_ = value; }
-  /// Stable hash of the assignment vector — same FNV-1a stream as
+  /// Stable hash of the assignment — the working-set clusters in
+  /// working-set order, then the relays: the same FNV-1a stream as
   /// PartialSolution::signature() of the flattened state.
   [[nodiscard]] std::uint64_t signature() const;
 
@@ -179,6 +181,7 @@ class DeltaSolution {
   friend class FlatSolution;
 
   const FlatSolution* parent_ = nullptr;
+  const std::vector<DdgNodeId>* workingSet_ = nullptr;  // signature order
   // Dense overlay, memcpy'd from the parent on reset.
   std::vector<ClusterId> nodeCluster_;
   std::vector<ClusterId> relayCluster_;

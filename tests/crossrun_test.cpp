@@ -5,6 +5,7 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -20,6 +21,7 @@
 #include "support/io.hpp"
 #include "support/json.hpp"
 #include "support/str.hpp"
+#include "support/thread_pool.hpp"
 
 namespace hca {
 namespace {
@@ -147,14 +149,16 @@ TEST(HistoryTest, SeriesSelectAndExtract) {
 std::string syntheticReport(const std::string& workload, double wallUs,
                             std::int64_t outerAttempts,
                             bool includeExtraCounter = false,
-                            int threads = 1) {
+                            int threads = 1, std::int64_t cacheHits = 409,
+                            const std::string& digest = "00000000c0ffee00") {
   std::ostringstream os;
   os << "{\"workload\":\"" << workload << "\","
      << "\"machine\":\"TestFabric[1]\",\"threads\":" << threads << ","
      << "\"context\":" << RunContext::current().toJson() << ","
      << "\"legal\":true,\"fallbackUsed\":\"\","
+     << "\"records\":{\"assignmentDigest\":\"" << digest << "\"},"
      << "\"stats\":{\"outerAttempts\":" << outerAttempts
-     << ",\"cacheHits\":409,\"attemptsCancelled\":7},"
+     << ",\"cacheHits\":" << cacheHits << ",\"attemptsCancelled\":7},"
      << "\"metrics\":{\"counters\":{\"see.expansions.L1\":100,"
      << "\"pool.tasks\":55,\"mapper.wall_shim\":1"
      << (includeExtraCounter ? ",\"ladder.rung.flat\":1" : "") << "},"
@@ -214,6 +218,80 @@ TEST(DiffTest, WorkloadMismatchIsInvalidInputNotARegression) {
     EXPECT_NE(std::string(e.what()).find("old 1, new 4"), std::string::npos)
         << e.what();
   }
+}
+
+/// Runs `hcac --compare` on two report texts; returns its exit status.
+int hcacCompareExit(const std::string& oldText, const std::string& newText,
+                    const std::string& tag) {
+  const std::string oldPath = tmpPath(tag + "_old.json");
+  const std::string newPath = tmpPath(tag + "_new.json");
+  atomicWriteFile(oldPath, oldText);
+  atomicWriteFile(newPath, newText);
+  const std::string command =
+      strCat("'", HCA_HCAC_PATH, "' --compare '", oldPath, "' '", newPath,
+             "' >/dev/null 2>&1");
+  const int status = std::system(command.c_str());
+  removeFileIfExists(oldPath);
+  removeFileIfExists(newPath);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(DiffTest, ParallelPairDifferingInCacheHitsIsANote) {
+  // Two 4-thread runs of one compile: how many speculative attempts start
+  // before the winner cancels them depends on scheduling, so the cache
+  // (and outer-attempt, SEE, backtrack) series are informational.
+  const std::string a =
+      syntheticReport("fir2dim", 1000.0, 9, false, /*threads=*/4, 409);
+  const std::string b =
+      syntheticReport("fir2dim", 1000.0, 9, false, /*threads=*/4, 377);
+  const core::ReportDiff diff = core::diffReportTexts(a, b);
+  EXPECT_FALSE(diff.regression()) << core::reportDiffJson(diff);
+  const bool noted = std::any_of(
+      diff.notes.begin(), diff.notes.end(), [](const std::string& note) {
+        return note == "parallel-sweep series stats.cacheHits: 409 -> 377";
+      });
+  EXPECT_TRUE(noted) << core::reportDiffJson(diff);
+  EXPECT_EQ(hcacCompareExit(a, b, "parallel_cache"), 0);
+
+  // At one thread the same difference is a regression.
+  EXPECT_TRUE(core::diffReportTexts(
+                  syntheticReport("fir2dim", 1000.0, 9, false, 1, 409),
+                  syntheticReport("fir2dim", 1000.0, 9, false, 1, 377))
+                  .regression());
+}
+
+TEST(DiffTest, ParallelPairDifferingInAssignmentIsARegression) {
+  const std::string a = syntheticReport("fir2dim", 1000.0, 9, false,
+                                        /*threads=*/4, 409, "00000000000000aa");
+  const std::string b = syntheticReport("fir2dim", 1000.0, 9, false,
+                                        /*threads=*/4, 409, "00000000000000bb");
+  const core::ReportDiff diff = core::diffReportTexts(a, b);
+  ASSERT_TRUE(diff.regression());
+  ASSERT_EQ(diff.mismatches.size(), 1u);
+  EXPECT_EQ(diff.mismatches[0].series, "records.assignmentDigest");
+  EXPECT_EQ(hcacCompareExit(a, b, "parallel_digest"), 1);
+}
+
+TEST(DiffTest, RealParallelReportsSelfCompareClean) {
+  // Two 4-thread compiles of fir2dim: the mapping is the same, the
+  // speculative counters need not be, and the verdict is clean.
+  const auto kernels = ddg::table1Kernels();
+  const machine::DspFabricModel model{machine::DspFabricConfig{}};
+  core::HcaOptions options;
+  options.numThreads = 4;
+  const core::HcaDriver driver(model, options);
+  core::ReportMeta meta;
+  meta.workload = "fir2dim";
+  meta.machine = model.config().toString();
+  meta.threads = ThreadPool::effectiveThreads(options.numThreads);
+  meta.context = RunContext::current();
+  const core::HcaResult a = driver.run(kernels[0].ddg);
+  const core::HcaResult b = driver.run(kernels[0].ddg);
+  ASSERT_TRUE(a.legal) << a.failureReason;
+  const core::ReportDiff diff =
+      core::diffReportTexts(core::runReportJson(a, &model, &meta),
+                            core::runReportJson(b, &model, &meta));
+  EXPECT_FALSE(diff.regression()) << core::reportDiffJson(diff);
 }
 
 TEST(DiffTest, SchemaVersionMismatchStopsAtTheIdentityGate) {

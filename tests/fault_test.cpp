@@ -417,6 +417,9 @@ TEST(BeamBudgetTest, MaxBeamStepsBoundsEveryAttempt) {
               std::vector<std::string>{"degraded-bandwidth re-run (N=M=K=2)"});
     EXPECT_EQ(
         result.metrics.counterValue("ladder.rung.degraded_bandwidth"), 1);
+    // Each rung counts once: the degraded rung's own sweep is not a second
+    // primary rung.
+    EXPECT_EQ(result.metrics.counterValue("ladder.rung.primary"), 1);
     for (const auto& [name, value] : result.metrics.counters()) {
       if (name.rfind("ladder.rung.", 0) != 0) continue;
       EXPECT_TRUE(name == "ladder.rung.primary" ||

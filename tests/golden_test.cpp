@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -44,36 +43,6 @@ struct Nmk {
 };
 constexpr Nmk kFabrics[] = {{8, 8, 8}, {8, 4, 4}, {4, 4, 2}, {2, 2, 2}};
 
-/// FNV-1a 64-bit over the digest text.
-std::uint64_t fnv1a64(const std::string& data) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-/// Placement, relays and the encoded reconfiguration stream.
-std::string assignmentDigest(const HcaResult& r) {
-  std::ostringstream os;
-  for (const CnId cn : r.assignment) os << cn.value() << ',';
-  os << '|';
-  for (const RelayPlacement& relay : r.relays) {
-    os << relay.value.value() << ':' << relay.cn.value() << ',';
-  }
-  os << '|';
-  for (const std::uint64_t word : r.reconfig.encode()) os << word << ',';
-  return hex64(fnv1a64(os.str()));
-}
-
 /// The final DDG text (every node, operand, immediate and name), the
 /// per-node CN and the inserted receives.
 std::string mappingDigest(const FinalMapping& m) {
@@ -85,7 +54,7 @@ std::string mappingDigest(const FinalMapping& m) {
     os << recv.recvNode.value() << ':' << recv.value.value() << ':'
        << recv.cn.value() << ':' << (recv.isRelay ? 1 : 0) << ',';
   }
-  return hex64(fnv1a64(os.str()));
+  return fnv1a64Hex(os.str());
 }
 
 std::string oneLine(std::string s) {

@@ -9,8 +9,10 @@
 #include "hca/driver.hpp"
 #include "hca/mii.hpp"
 #include "hca/subproblem_cache.hpp"
+#include "machine/fault_inject.hpp"
 #include "see/engine.hpp"
 #include "support/check.hpp"
+#include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 
@@ -48,6 +50,18 @@ void expectSameOutcome(const HcaResult& a, const HcaResult& b) {
   for (std::size_t i = 0; i < a.reconfig.settings.size(); ++i) {
     EXPECT_EQ(a.reconfig.settings[i], b.reconfig.settings[i]);
   }
+}
+
+/// Byte-identical search effort: cache hits replay the recorded SeeStats
+/// (records.hpp), so every aggregate counter matches a cache-off run.
+void expectSameSearchEffort(const HcaResult& fresh, const HcaResult& replayed) {
+  EXPECT_EQ(fresh.stats.problemsSolved, replayed.stats.problemsSolved);
+  EXPECT_EQ(fresh.stats.statesExplored, replayed.stats.statesExplored);
+  EXPECT_EQ(fresh.stats.candidatesEvaluated, replayed.stats.candidatesEvaluated);
+  EXPECT_EQ(fresh.stats.routeInvocations, replayed.stats.routeInvocations);
+  EXPECT_EQ(fresh.stats.backtrackAttempts, replayed.stats.backtrackAttempts);
+  EXPECT_EQ(fresh.stats.outerAttempts, replayed.stats.outerAttempts);
+  EXPECT_EQ(fresh.stats.maxWirePressure, replayed.stats.maxWirePressure);
 }
 
 // --- thread pool / cancellation primitives ----------------------------------
@@ -176,14 +190,48 @@ TEST(SubproblemCacheTest, CachedResultsByteMatchFreshSolves) {
   EXPECT_EQ(replayed.stats.cacheHits + replayed.stats.cacheMisses,
             static_cast<std::int64_t>(replayed.stats.problemsSolved));
 
-  // Byte-identical search effort (see records.hpp: hits replay stats).
-  EXPECT_EQ(fresh.stats.problemsSolved, replayed.stats.problemsSolved);
-  EXPECT_EQ(fresh.stats.statesExplored, replayed.stats.statesExplored);
-  EXPECT_EQ(fresh.stats.candidatesEvaluated, replayed.stats.candidatesEvaluated);
-  EXPECT_EQ(fresh.stats.routeInvocations, replayed.stats.routeInvocations);
-  EXPECT_EQ(fresh.stats.backtrackAttempts, replayed.stats.backtrackAttempts);
-  EXPECT_EQ(fresh.stats.outerAttempts, replayed.stats.outerAttempts);
-  EXPECT_EQ(fresh.stats.maxWirePressure, replayed.stats.maxWirePressure);
+  expectSameSearchEffort(fresh, replayed);
+}
+
+TEST(SubproblemCacheTest, DegradedRungResultsByteMatchFreshSolves) {
+  // fir2dim with one dead CN (the bench_faults cell): the primary sweep
+  // fails and the mapping comes from the degraded-bandwidth rung. That
+  // replays records of failed and legal solves, and the primary sweep's
+  // cache is released before the rung builds its own.
+  Rng rng(0xE7);
+  machine::FaultInjectParams params;
+  params.deadCns = 1;
+  const machine::DspFabricConfig config;
+  const machine::DspFabricModel model(
+      config,
+      machine::injectRandomFaults(rng, machine::DspFabricModel(config),
+                                  params));
+  HcaOptions uncached;
+  uncached.targetIiSlack = 4;
+  uncached.searchProfiles = 3;
+  uncached.enableSubproblemCache = false;
+  HcaOptions cached = uncached;
+  cached.enableSubproblemCache = true;
+
+  const auto kernels = ddg::table1Kernels();
+  const auto& fir2dim = kernels[0].ddg;
+  const auto fresh = HcaDriver(model, uncached).run(fir2dim);
+  const auto replayed = HcaDriver(model, cached).run(fir2dim);
+  ASSERT_TRUE(fresh.legal) << fresh.failureReason;
+  ASSERT_EQ(fresh.fallbackUsed, "degraded-bandwidth");
+  EXPECT_EQ(replayed.fallbackUsed, fresh.fallbackUsed);
+  expectSameOutcome(fresh, replayed);
+  EXPECT_GT(replayed.stats.cacheHits, 0);
+  expectSameSearchEffort(fresh, replayed);
+
+  // Each rung counts once; both rungs' caches are summed into the totals.
+  EXPECT_EQ(replayed.metrics.counterValue("ladder.rung.primary"), 1);
+  EXPECT_EQ(replayed.metrics.counterValue("ladder.rung.degraded_bandwidth"),
+            1);
+  EXPECT_EQ(replayed.metrics.counterValue("cache.shards"), 16);
+  EXPECT_EQ(replayed.metrics.counterValue("cache.hits"),
+            replayed.stats.cacheHits);
+  EXPECT_GT(replayed.metrics.counterValue("cache.bytes"), 0);
 }
 
 // --- portfolio determinism (serial vs parallel) ------------------------------

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <utility>
 
 #include "ddg/builder.hpp"
 #include "ddg/kernels.hpp"
@@ -24,6 +26,16 @@ std::vector<DdgNodeId> fullWorkingSet(const ddg::Ddg& ddg) {
     if (ddg::isInstruction(ddg.node(DdgNodeId(v)).op)) ws.emplace_back(v);
   }
   return ws;
+}
+
+/// Cluster of `node` in `solution`, which is indexed by working-set
+/// position (invalid outside the working set).
+ClusterId clusterOf(const SeeProblem& problem, const PartialSolution& solution,
+                    DdgNodeId node) {
+  const auto& ws = problem.workingSet;
+  const auto it = std::find(ws.begin(), ws.end(), node);
+  if (it == ws.end()) return ClusterId::invalid();
+  return solution.wsCluster(static_cast<int>(it - ws.begin()));
 }
 
 /// A small diamond DDG: two loads feed an add that is stored.
@@ -156,7 +168,7 @@ TEST(EngineTest, AssignsEverythingOnGenerousMachine) {
   const auto result = engine.run(problem);
   ASSERT_TRUE(result.legal) << result.failureReason;
   for (const DdgNodeId n : problem.workingSet) {
-    EXPECT_TRUE(result.solution.clusterOf(n).valid());
+    EXPECT_TRUE(clusterOf(problem, result.solution, n).valid());
   }
   EXPECT_GT(result.stats.candidatesEvaluated, 0);
 }
@@ -201,7 +213,7 @@ TEST(EngineTest, HeterogeneousResourcesRespected) {
   ASSERT_TRUE(result.legal) << result.failureReason;
   for (const DdgNodeId n : problem.workingSet) {
     if (ddg::isMemoryOp(ddg.node(n).op)) {
-      EXPECT_EQ(result.solution.clusterOf(n).value() % 2, 0)
+      EXPECT_EQ(clusterOf(problem, result.solution, n).value() % 2, 0)
           << "memory op on AG-less cluster";
     }
   }
@@ -229,6 +241,38 @@ TEST(EngineTest, EmptyWorkingSetIsLegal) {
   const auto result = engine.run(problem);
   EXPECT_TRUE(result.legal);
   EXPECT_EQ(result.solution.assignedCount(), 0);
+}
+
+TEST(EngineTest, SolutionSizeIndependentOfUnrelatedDdgNodes) {
+  // A leaf sub-problem's result is sized by its working set, relays and
+  // PG, never by the DDG it is cut from: padding the DDG with nodes outside
+  // the working set must leave the record the sub-problem cache stores
+  // exactly as large (and the assignment the same).
+  const auto pg = smallPg(4);
+  const auto solve = [&pg](int padding) {
+    DdgBuilder b;
+    const auto a = b.load(b.cst(0), 0, "a");
+    const auto c = b.load(b.cst(1), 0, "c");
+    const auto s = b.add(a, c, "s");
+    b.store(b.cst(2), s, 0, "out");
+    for (int i = 0; i < padding; ++i) {
+      b.store(b.cst(3), b.add(b.load(b.cst(4)), b.cst(i)));
+    }
+    const auto ddg = b.finish();
+    auto problem = baseProblem(ddg, pg);
+    problem.workingSet.resize(4);  // the diamond: a, c, s, out
+    for (const DdgNodeId n : problem.workingSet) {
+      EXPECT_FALSE(ddg.node(n).name.empty()) << "not a diamond node";
+    }
+    const auto result = SpaceExplorationEngine().run(problem);
+    EXPECT_TRUE(result.legal) << result.failureReason;
+    return std::make_pair(result.solution.approxBytes(),
+                          result.solution.signature());
+  };
+  const auto small = solve(0);
+  const auto padded = solve(200);
+  EXPECT_EQ(padded.first, small.first);
+  EXPECT_EQ(padded.second, small.second);
 }
 
 // --- constraints ----------------------------------------------------------------
@@ -289,8 +333,8 @@ TEST(ConstraintTest, OutputUnaryFanInForcesCoLocation) {
   const SpaceExplorationEngine engine;
   const auto result = engine.run(problem);
   ASSERT_TRUE(result.legal) << result.failureReason;
-  EXPECT_EQ(result.solution.clusterOf(DdgNodeId(kv.value())),
-            result.solution.clusterOf(DdgNodeId(hv.value())));
+  EXPECT_EQ(clusterOf(problem, result.solution, DdgNodeId(kv.value())),
+            clusterOf(problem, result.solution, DdgNodeId(hv.value())));
   // Output node has exactly one real in-neighbor.
   EXPECT_EQ(result.solution.flow().realInNeighbors(pg, out).size(), 1u);
 }
@@ -331,8 +375,9 @@ TEST(ConstraintTest, InputNodeValuesConsumedViaBoundary) {
   const auto result = engine.run(problem);
   ASSERT_TRUE(result.legal) << result.failureReason;
   // The boundary value flows from the input node to the add's cluster.
-  const ClusterId addCluster = result.solution.clusterOf(
-      DdgNodeId(extV.value() + 2));  // cst(1) then add follow ext
+  const ClusterId addCluster =
+      clusterOf(problem, result.solution,
+                DdgNodeId(extV.value() + 2));  // cst(1) then add follow ext
   bool found = false;
   for (const PgArcId arc : pg.outArcs(in)) {
     for (const ValueId v : result.solution.flow().copiesOn(arc)) {

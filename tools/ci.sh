@@ -27,8 +27,9 @@
 #   6. regress  — two-commit regression smoke: compile one Table 1 kernel
 #                 twice with --report-out/--history-out, then
 #                 `hcac --compare` must exit 0 (the search is
-#                 deterministic), and a perturbed counter must flip it to
-#                 exit 1 naming the regressed series
+#                 deterministic), at 1 thread and at 4 threads, and a
+#                 perturbed counter must flip it to exit 1 naming the
+#                 regressed series
 #
 # Usage: tools/ci.sh [jobs]
 set -euo pipefail
@@ -136,6 +137,16 @@ echo "=== ci: regression gate smoke (hcac --compare) ==="
 grep -q '"regression":false' "${work}/verdict.json" || {
   echo "ci: verdict JSON does not record a clean comparison"
   cat "${work}/verdict.json"; exit 1; }
+# The same gate at 4 threads: the portfolio's speculative counters may move
+# between the two runs (they become notes), the mapping must not.
+for run in base4 new4; do
+  "${hcac}" --kernel fir2dim --threads 4 --report-out "${work}/${run}.json" \
+    >>"${work}/compare.log" 2>&1
+done
+"${hcac}" --compare "${work}/base4.json" "${work}/new4.json" \
+  --diff-out "${work}/verdict4.json" >>"${work}/compare.log" 2>&1 || {
+    echo "ci: 4-thread self-compare reported a regression"
+    cat "${work}/compare.log" "${work}/verdict4.json"; exit 1; }
 # Sanity-check the gate actually gates: a perturbed deterministic counter
 # must exit 1 and name the regressed series.
 sed 's/"outerAttempts":[0-9]*/"outerAttempts":999999/' \
